@@ -18,9 +18,12 @@
 #                               # the E22 sequential-estimator rows and
 #                               # their 2x draw-reduction floor); also
 #                               # runs the E18 service soak at <=1k
-#                               # sessions and checks BENCH_service.json
-#                               # (the CI bench-smoke job runs exactly
-#                               # this)
+#                               # sessions and checks BENCH_service.json;
+#                               # and runs the cdse benchmark's exact_eps
+#                               # workload for one second, which exits
+#                               # non-zero on a build failure or a wrong
+#                               # epsilon (the CI bench-smoke job runs
+#                               # exactly this)
 #   scripts/check.sh --portable # portable-baseline build with
 #                               # -DCDSE_NATIVE_ARCH=OFF; runs the RNG /
 #                               # alias / batch-sampler suites with the
@@ -167,8 +170,15 @@ PY
   # reports NO RECLAIM.
   (cd build-bench && ./bench/bench_service_soak --sessions=20000)
   test -s build-bench/BENCH_service.json
+  # The cdse benchmark builds src/ as-is with its own driver and checks
+  # every exact_eps answer against closed forms and the recursive
+  # reference: exit status is the gate (a library API change that breaks
+  # the driver, or a wrong epsilon, fails it); no timing is checked.
+  python3 cdsebench/run.py --workload exact_eps --seed 1 --seconds 1 \
+    --trace 0 >/dev/null
   echo "== bench-smoke clean: build-bench/BENCH_engine.json," \
-       "BENCH_exact.json and BENCH_service.json written =="
+       "BENCH_exact.json and BENCH_service.json written," \
+       "cdse exact_eps answers checked =="
   exit 0
 fi
 

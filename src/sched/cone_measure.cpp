@@ -56,19 +56,6 @@ void for_each_halted_execution_recursive(
             visit);
 }
 
-ExactDisc<Perception> exact_fdist(Psioa& automaton, Scheduler& sched,
-                                  const InsightFunction& f,
-                                  std::size_t max_depth, ConeStats* stats) {
-  ExactDisc<Perception> dist;
-  for_each_halted_execution(
-      automaton, sched, max_depth,
-      [&](const ExecFragment& alpha, const Rational& p) {
-        dist.add(f.apply(automaton, alpha), p);
-      },
-      stats);
-  return dist;
-}
-
 ExactDisc<Perception> exact_fdist_recursive(Psioa& automaton, Scheduler& sched,
                                             const InsightFunction& f,
                                             std::size_t max_depth) {

@@ -76,13 +76,16 @@ void for_each_halted_execution_recursive(
     const std::function<void(const ExecFragment&, const Rational&)>& visit);
 
 /// f-dist_{(., .)}(sigma): the image of epsilon_sigma under the insight
-/// function, exactly (Def 3.5).
+/// function, exactly (Def 3.5). A trace-functional insight is applied
+/// once per distinct external trace, any other once per execution
+/// (sched/exact_engine.hpp); the result is the same either way.
 ExactDisc<Perception> exact_fdist(Psioa& automaton, Scheduler& sched,
                                   const InsightFunction& f,
                                   std::size_t max_depth,
                                   ConeStats* stats = nullptr);
 
-/// exact_fdist through the recursive reference enumerator.
+/// exact_fdist through the recursive reference enumerator, applying the
+/// insight once per execution whatever it declares.
 ExactDisc<Perception> exact_fdist_recursive(Psioa& automaton, Scheduler& sched,
                                             const InsightFunction& f,
                                             std::size_t max_depth);

@@ -1,6 +1,7 @@
 #include "sched/exact_engine.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <deque>
 #include <stdexcept>
 #include <utility>
@@ -26,6 +27,215 @@ MemoPsioa* memo_engine_of(Psioa& automaton) {
   if (memo != nullptr && !memo->memoization_enabled()) memo = nullptr;
   return memo;
 }
+
+/// The external traces (Def 2.2) one exact f-dist call has reached, as
+/// a trie in one flat vector: node 0 is the empty trace, and each node
+/// keeps its children as a singly linked sibling list. A node also
+/// holds the perception slot of its trace once the insight has been
+/// applied there (FdistAccumulator). Lives for one call.
+class TraceTrie {
+ public:
+  using Node = std::uint32_t;
+  static constexpr Node kRoot = 0;
+  static constexpr std::uint32_t kNone = ~std::uint32_t{0};
+
+  TraceTrie() {
+    nodes_.push_back({kInvalidAction, kNone, kNone, kNone, kNone});
+  }
+
+  /// The node of trace(n) . a, created on first use.
+  Node child(Node n, ActionId a) {
+    for (Node c = nodes_[n].first_child; c != kNone;
+         c = nodes_[c].next_sibling) {
+      if (nodes_[c].action == a) return c;
+    }
+    const Node c = static_cast<Node>(nodes_.size());
+    const Node sibling = nodes_[n].first_child;
+    nodes_.push_back({a, n, kNone, sibling, kNone});
+    nodes_[n].first_child = c;
+    return c;
+  }
+
+  /// The node of `trace`, created on first use.
+  Node insert(const std::vector<ActionId>& trace) {
+    Node n = kRoot;
+    for (ActionId a : trace) n = child(n, a);
+    return n;
+  }
+
+  /// The trace node n stands for, read back up the parent links.
+  std::vector<ActionId> trace(Node n) const {
+    std::vector<ActionId> out;
+    for (; n != kRoot; n = nodes_[n].parent) out.push_back(nodes_[n].action);
+    std::reverse(out.begin(), out.end());
+    return out;
+  }
+
+  std::uint32_t& slot(Node n) { return nodes_[n].slot; }
+
+ private:
+  struct Entry {
+    ActionId action;
+    Node parent;
+    Node first_child;
+    Node next_sibling;
+    std::uint32_t slot;
+  };
+  std::vector<Entry> nodes_;
+};
+
+/// The trace node of the child that `a` leads to from a state with
+/// signature `sig` and trace node `node`: external actions extend the
+/// trace (Def 2.2), others keep it. Without a trie nothing is tracked.
+TraceTrie::Node child_trace(TraceTrie* trie, TraceTrie::Node node,
+                            const Signature& sig, ActionId a) {
+  return trie != nullptr && sig.is_external(a) ? trie->child(node, a) : node;
+}
+
+/// The one cone walker behind enumerate_cone and every exact f-dist:
+/// an explicit pending-edge stack that push/pops ONE in-place path,
+/// visiting halt/leaf events in the recursive enumerator's pre-order as
+/// visit(path, prob, trace_node). With a trie, every edge also carries
+/// the trie node of its child's external trace, derived from the
+/// signature expand() already holds; `root` is the node of `path`'s own
+/// trace. Without one, trace nodes are not tracked and read kRoot.
+template <typename Visit>
+void walk_cone(Psioa& automaton, Scheduler& sched, std::size_t max_depth,
+               ExecFragment& path, const Rational& prefix_prob,
+               TraceTrie* trie, TraceTrie::Node root, const Visit& visit,
+               ConeStats& cs) {
+  if (prefix_prob.is_zero()) return;
+  MemoPsioa* memo = memo_engine_of(automaton);
+  const std::size_t base_len = path.length();
+
+  // A pending edge, not a call frame: (absolute) probability of the child
+  // it leads to, the step that reaches it, the child's trace node, and
+  // the parent's depth so the shared path can be truncated back before
+  // appending. The live stack holds at most depth x branching edges --
+  // it scales with the longest path, never with the number of cones
+  // enumerated.
+  struct PendingEdge {
+    Rational prob;
+    ActionId a;
+    State q2;
+    TraceTrie::Node node;
+    std::size_t depth;
+  };
+  std::vector<PendingEdge> stack;
+
+  auto expand = [&](const Rational& prob, TraceTrie::Node node) {
+    if (path.length() >= max_depth) {
+      visit(path, prob, node);
+      ++cs.leaves;
+      return;
+    }
+    const ActionChoice choice = sched.choose(automaton, path);
+    const Rational halt = scheduled_halt_mass(choice, sched);
+    if (!halt.is_zero()) {
+      visit(path, prob * halt, node);
+      ++cs.halts;
+    }
+    const State q = path.lstate();
+    const std::size_t depth = path.length();
+    const std::size_t first_child = stack.size();
+    if (memo != nullptr) {
+      const Signature& sig = memo->signature_ref(q);
+      for (const auto& [a, w] : choice.entries()) {
+        if (!sig.contains(a)) throw_outside_sig(sched, a);
+        const TraceTrie::Node next = child_trace(trie, node, sig, a);
+        const StateDist& eta = memo->transition_dist(q, a);
+        for (const auto& [q2, tw] : eta.entries()) {
+          stack.push_back({prob * w * tw, a, q2, next, depth});
+        }
+      }
+    } else {
+      const Signature sig = automaton.signature(q);
+      for (const auto& [a, w] : choice.entries()) {
+        if (!sig.contains(a)) throw_outside_sig(sched, a);
+        const TraceTrie::Node next = child_trace(trie, node, sig, a);
+        const StateDist eta = automaton.transition(q, a);
+        for (const auto& [q2, tw] : eta.entries()) {
+          stack.push_back({prob * w * tw, a, q2, next, depth});
+        }
+      }
+    }
+    // The recursive enumerator descends into the first edge first;
+    // reversing the freshly pushed run makes the LIFO pops replay that
+    // exact pre-order.
+    std::reverse(stack.begin() + first_child, stack.end());
+    cs.frames_pushed += stack.size() - first_child;
+    cs.frames_peak = std::max(cs.frames_peak, stack.size());
+  };
+
+  expand(prefix_prob, root);
+  while (!stack.empty()) {
+    PendingEdge e = std::move(stack.back());
+    stack.pop_back();
+    if (e.prob.is_zero()) continue;
+    path.truncate(e.depth);
+    path.append(e.a, e.q2);
+    expand(e.prob, e.node);
+  }
+  path.truncate(base_len);
+}
+
+/// Exact f-dist accumulator of one call (or one parallel chunk). A
+/// trace-functional insight is applied once per trace node -- at the
+/// first event that reaches it -- and the node remembers the resulting
+/// perception slot; every event then adds its mass to that slot. Each
+/// perception's mass is thus summed event by event in visit order, the
+/// same additions ExactDisc::add would make, so results (and any Rational
+/// overflow) are identical to applying the insight per event -- which
+/// is what happens, straight into an ExactDisc, for any other insight.
+class FdistAccumulator {
+ public:
+  explicit FdistAccumulator(const InsightFunction& f)
+      : f_(f), by_trace_(f.trace_functional()) {}
+
+  /// The trie walk_cone should extend, or null for per-event insights.
+  TraceTrie* trie() { return by_trace_ ? &trie_ : nullptr; }
+
+  void add(Psioa& automaton, const ExecFragment& alpha, TraceTrie::Node node,
+           const Rational& p) {
+    if (!by_trace_) {
+      per_event_.add(f_.apply(automaton, alpha), p);
+      return;
+    }
+    std::uint32_t& slot = trie_.slot(node);
+    if (slot == TraceTrie::kNone) slot = slot_of(f_.apply(automaton, alpha));
+    mass_[slot] += p;
+  }
+
+  /// The accumulated f-dist (built once, in canonical sorted order).
+  ExactDisc<Perception> finish() {
+    if (!by_trace_) return std::move(per_event_);
+    ExactDisc<Perception> out;
+    for (std::uint32_t s : sorted_) out.add(perc_[s], mass_[s]);
+    return out;
+  }
+
+ private:
+  /// The slot of perception `perc`, opened (with zero mass) on first use.
+  std::uint32_t slot_of(Perception perc) {
+    auto it = std::lower_bound(
+        sorted_.begin(), sorted_.end(), perc,
+        [&](std::uint32_t s, const Perception& key) { return perc_[s] < key; });
+    if (it != sorted_.end() && perc_[*it] == perc) return *it;
+    const auto s = static_cast<std::uint32_t>(perc_.size());
+    perc_.push_back(std::move(perc));
+    mass_.emplace_back();
+    sorted_.insert(it, s);
+    return s;
+  }
+
+  const InsightFunction& f_;
+  const bool by_trace_;
+  TraceTrie trie_;
+  std::vector<Perception> perc_;      // slot -> perception
+  std::vector<Rational> mass_;        // slot -> mass summed so far
+  std::vector<std::uint32_t> sorted_; // slots ordered by perception
+  ExactDisc<Perception> per_event_;   // per-event path
+};
 
 }  // namespace
 
@@ -72,76 +282,25 @@ void enumerate_cone(
     const std::function<void(const ExecFragment&, const Rational&)>& visit,
     ConeStats* stats) {
   ConeStats scratch;
-  ConeStats& cs = stats != nullptr ? *stats : scratch;
-  if (prefix_prob.is_zero()) return;
-  MemoPsioa* memo = memo_engine_of(automaton);
-  const std::size_t base_len = path.length();
+  walk_cone(automaton, sched, max_depth, path, prefix_prob, nullptr,
+            TraceTrie::kRoot,
+            [&](const ExecFragment& alpha, const Rational& p,
+                TraceTrie::Node) { visit(alpha, p); },
+            stats != nullptr ? *stats : scratch);
+}
 
-  // A pending edge, not a call frame: (absolute) probability of the child
-  // it leads to, the step that reaches it, and the parent's depth so the
-  // shared path can be truncated back before appending. The live stack
-  // holds at most depth x branching edges -- it scales with the longest
-  // path, never with the number of cones enumerated.
-  struct PendingEdge {
-    Rational prob;
-    ActionId a;
-    State q2;
-    std::size_t depth;
-  };
-  std::vector<PendingEdge> stack;
-
-  auto expand = [&](const Rational& prob) {
-    if (path.length() >= max_depth) {
-      visit(path, prob);
-      ++cs.leaves;
-      return;
-    }
-    const ActionChoice choice = sched.choose(automaton, path);
-    const Rational halt = scheduled_halt_mass(choice, sched);
-    if (!halt.is_zero()) {
-      visit(path, prob * halt);
-      ++cs.halts;
-    }
-    const State q = path.lstate();
-    const std::size_t depth = path.length();
-    const std::size_t first_child = stack.size();
-    if (memo != nullptr) {
-      const Signature& sig = memo->signature_ref(q);
-      for (const auto& [a, w] : choice.entries()) {
-        if (!sig.contains(a)) throw_outside_sig(sched, a);
-        const StateDist& eta = memo->transition_dist(q, a);
-        for (const auto& [q2, tw] : eta.entries()) {
-          stack.push_back({prob * w * tw, a, q2, depth});
-        }
-      }
-    } else {
-      const Signature sig = automaton.signature(q);
-      for (const auto& [a, w] : choice.entries()) {
-        if (!sig.contains(a)) throw_outside_sig(sched, a);
-        const StateDist eta = automaton.transition(q, a);
-        for (const auto& [q2, tw] : eta.entries()) {
-          stack.push_back({prob * w * tw, a, q2, depth});
-        }
-      }
-    }
-    // The recursive enumerator descends into the first edge first;
-    // reversing the freshly pushed run makes the LIFO pops replay that
-    // exact pre-order.
-    std::reverse(stack.begin() + first_child, stack.end());
-    cs.frames_pushed += stack.size() - first_child;
-    cs.frames_peak = std::max(cs.frames_peak, stack.size());
-  };
-
-  expand(prefix_prob);
-  while (!stack.empty()) {
-    PendingEdge e = std::move(stack.back());
-    stack.pop_back();
-    if (e.prob.is_zero()) continue;
-    path.truncate(e.depth);
-    path.append(e.a, e.q2);
-    expand(e.prob);
-  }
-  path.truncate(base_len);
+ExactDisc<Perception> exact_fdist(Psioa& automaton, Scheduler& sched,
+                                  const InsightFunction& f,
+                                  std::size_t max_depth, ConeStats* stats) {
+  ConeStats scratch;
+  FdistAccumulator acc(f);
+  ExecFragment path = ExecFragment::starting_at(automaton.start_state());
+  walk_cone(automaton, sched, max_depth, path, Rational(1), acc.trie(),
+            TraceTrie::kRoot,
+            [&](const ExecFragment& alpha, const Rational& p,
+                TraceTrie::Node node) { acc.add(automaton, alpha, node, p); },
+            stats != nullptr ? *stats : scratch);
+  return acc.finish();
 }
 
 // -- exact prefix strata (importance splitting) -----------------------------
@@ -358,40 +517,44 @@ ExactDisc<Perception> ParallelConeEngine::exact_fdist(
 
   // Phase 1 (calling thread): breadth-first expansion until the frontier
   // holds enough independent subtrees to keep every worker busy. Halt
-  // and leaf mass discovered on the way accumulates into `base`.
+  // and leaf mass discovered on the way accumulates into `base`, and
+  // every frontier node carries its node in base's trace trie.
   auto main_view = make_view();
   SchedulerPtr main_sched = make_worker_sched();
   struct Node {
     ExecFragment frag;
     Rational prob;
+    TraceTrie::Node trace = TraceTrie::kRoot;
   };
   std::deque<Node> frontier;
-  ExactDisc<Perception> base;
+  FdistAccumulator base(f);
+  TraceTrie* base_trie = base.trie();
   frontier.push_back(
       {ExecFragment::starting_at(main_view->start_state()), Rational(1)});
   while (!frontier.empty() && frontier.size() < target) {
     Node n = std::move(frontier.front());
     frontier.pop_front();
     if (n.frag.length() >= max_depth) {
-      base.add(f.apply(*main_view, n.frag), n.prob);
+      base.add(*main_view, n.frag, n.trace, n.prob);
       ++stats.leaves;
       continue;
     }
     const ActionChoice choice = main_sched->choose(*main_view, n.frag);
     const Rational halt = scheduled_halt_mass(choice, *main_sched);
     if (!halt.is_zero()) {
-      base.add(f.apply(*main_view, n.frag), n.prob * halt);
+      base.add(*main_view, n.frag, n.trace, n.prob * halt);
       ++stats.halts;
     }
     const State q = n.frag.lstate();
     const Signature& sig = main_view->signature_ref(q);
     for (const auto& [a, w] : choice.entries()) {
       if (!sig.contains(a)) throw_outside_sig(*main_sched, a);
+      const TraceTrie::Node next = child_trace(base_trie, n.trace, sig, a);
       const StateDist& eta = main_view->transition_dist(q, a);
       for (const auto& [q2, tw] : eta.entries()) {
         ExecFragment child = n.frag;
         child.append(a, q2);
-        frontier.push_back({std::move(child), n.prob * w * tw});
+        frontier.push_back({std::move(child), n.prob * w * tw, next});
       }
     }
   }
@@ -401,11 +564,13 @@ ExactDisc<Perception> ParallelConeEngine::exact_fdist(
   stats.splits = tasks.size();
 
   // Phase 2: fan the subtrees over the pool. Each chunk drives its own
-  // thin snapshot view and scheduler instance, so the one-thread-per-
-  // instance rule holds; frozen rows are read lock-free, cold misses
-  // serialize through the shared residue. The fixed (chunk-order) merge
-  // of exact partials is order-insensitive, hence bit-identical for any
-  // worker count.
+  // thin snapshot view, scheduler instance and accumulator (whose trie
+  // re-roots each subtree at its prefix trace, read from base's trie,
+  // which no one writes any more), so the one-thread-per-instance rule
+  // holds; frozen rows are read lock-free, cold misses serialize
+  // through the shared residue. The fixed (chunk-order) merge of exact
+  // partials is order-insensitive, hence bit-identical for any worker
+  // count.
   const std::size_t lanes = std::max<std::size_t>(std::size_t{1}, pool.size());
   std::vector<ExactDisc<Perception>> partial(lanes);
   std::vector<ConeStats> cstats(lanes);
@@ -414,19 +579,24 @@ ExactDisc<Perception> ParallelConeEngine::exact_fdist(
       [&](std::size_t chunk, std::size_t begin, std::size_t end) {
         auto view = make_view();
         SchedulerPtr sched = make_worker_sched();
-        ExactDisc<Perception>& out = partial[chunk];
+        FdistAccumulator acc(f);
+        TraceTrie* trie = acc.trie();
         for (std::size_t i = begin; i < end; ++i) {
           ExecFragment path = tasks[i].frag;
-          enumerate_cone(
-              *view, *sched, max_depth, path, tasks[i].prob,
-              [&](const ExecFragment& alpha, const Rational& p) {
-                out.add(f.apply(*view, alpha), p);
-              },
-              &cstats[chunk]);
+          const TraceTrie::Node root =
+              trie != nullptr ? trie->insert(base_trie->trace(tasks[i].trace))
+                              : TraceTrie::kRoot;
+          walk_cone(*view, *sched, max_depth, path, tasks[i].prob, trie, root,
+                    [&](const ExecFragment& alpha, const Rational& p,
+                        TraceTrie::Node node) {
+                      acc.add(*view, alpha, node, p);
+                    },
+                    cstats[chunk]);
         }
+        partial[chunk] = acc.finish();
       });
 
-  ExactDisc<Perception> result = std::move(base);
+  ExactDisc<Perception> result = base.finish();
   for (const auto& p : partial) {
     for (const auto& [perc, w] : p.entries()) result.add(perc, w);
   }

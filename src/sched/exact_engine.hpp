@@ -12,14 +12,22 @@
 //       ONE in-place path (ExecFragment::truncate + append). The live
 //       stack scales with depth x branching, never with cone size, and
 //       the visit order is exactly the recursive pre-order.
+//   exact_fdist        -- the same walk, keyed by external trace: for a
+//       trace-functional insight (InsightFunction::trace_functional) each
+//       pending edge carries its node in a per-call trace trie, the
+//       insight runs once per distinct trace, and every leaf adds its
+//       mass to its trace's perception slot -- in visit order, so sums
+//       (and Rational overflows) are those of per-leaf accumulation.
+//       Other insights are applied per leaf.
 //   ParallelConeEngine -- deterministic parallel exact f-dists: the cone
 //       is expanded breadth-first to a frontier of independent subtrees,
 //       subtrees fan out over the existing ThreadPool on thin
 //       SnapshotPsioa views (WarmupPlan + freeze(), lock-free compiled
-//       rows), and per-worker ExactDisc partials merge in fixed frontier
-//       order. Rational addition is associative and commutative and
-//       ExactDisc keeps a canonical sorted form, so the merged measure is
-//       bit-identical for ANY worker count.
+//       rows), and per-worker ExactDisc partials (trace-keyed like
+//       exact_fdist) merge in fixed frontier order. Rational addition
+//       is associative and commutative and ExactDisc keeps a canonical
+//       sorted form, so the merged measure is bit-identical for ANY
+//       worker count.
 //   ConeFrontierCache  -- prefix sharing for off-line (word) schedulers:
 //       the halted frontier of word w is extended by one letter to give
 //       the frontier of w^a, so search_best_word explores the word tree

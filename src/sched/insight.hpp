@@ -17,6 +17,15 @@
 // All three are stable by composition (Def 3.7) *when their designated
 // actions belong to the environment*: composing a context B onto A never
 // changes what they report about E's actions. Tests verify this.
+//
+// All three are also *trace-functional*: their value depends on the
+// external trace (Def 2.2) alone. They say so through
+// trace_functional(), and the exact engines (exact_fdist,
+// ParallelConeEngine) then push the execution measure forward to
+// traces first and apply them once per distinct external trace. Any
+// other insight -- one that reads states, internal actions or the
+// execution's length, or a wrapper that does not forward the property
+// -- keeps the default `false` and is applied once per execution.
 
 #include <string>
 
@@ -32,12 +41,18 @@ class InsightFunction {
   virtual Perception apply(Psioa& automaton,
                            const ExecFragment& alpha) const = 0;
   virtual std::string name() const = 0;
+  /// True iff apply() depends only on trace_of(automaton, alpha): two
+  /// executions with the same external trace always get the same
+  /// perception. Lets the exact engines apply the insight once per
+  /// distinct trace instead of once per execution.
+  virtual bool trace_functional() const { return false; }
 };
 
 class TraceInsight : public InsightFunction {
  public:
   Perception apply(Psioa& automaton, const ExecFragment& alpha) const override;
   std::string name() const override { return "trace"; }
+  bool trace_functional() const override { return true; }
 };
 
 class AcceptInsight : public InsightFunction {
@@ -45,6 +60,7 @@ class AcceptInsight : public InsightFunction {
   explicit AcceptInsight(ActionId accept_action) : acc_(accept_action) {}
   Perception apply(Psioa& automaton, const ExecFragment& alpha) const override;
   std::string name() const override { return "accept"; }
+  bool trace_functional() const override { return true; }
 
  private:
   ActionId acc_;
@@ -56,6 +72,7 @@ class PrintInsight : public InsightFunction {
       : print_(std::move(print_actions)) {}
   Perception apply(Psioa& automaton, const ExecFragment& alpha) const override;
   std::string name() const override { return "print"; }
+  bool trace_functional() const override { return true; }
 
  private:
   ActionSet print_;

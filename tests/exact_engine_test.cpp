@@ -21,7 +21,16 @@
 //                   1/2/4/8 workers return the identical word, epsilon,
 //                   and words_evaluated.
 //   frames       -- regression guard: the live pending-edge stack scales
-//                   with depth x branching, not with cone size.
+//                   with depth x branching, not with cone size, and a
+//                   trace-functional insight is applied once per distinct
+//                   external trace, not once per leaf.
+//   trace-keyed  -- exact_fdist and ParallelConeEngine at 1/2/4 workers
+//                   must match the recursive per-execution reference for
+//                   the trace, accept and print insights on random
+//                   non-dyadic stacks, the paper stacks and a fork product
+//                   through the bisimulation quotient; insights that do not
+//                   declare trace_functional() keep the per-execution path;
+//                   a Rational overflow still throws where it did.
 //   validation   -- Def 3.1 side-condition throws propagate through the
 //                   new engines exactly as through the recursive one.
 //   grid/sweep   -- check_implementation_parallel and the parallel
@@ -35,8 +44,13 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
+#include <map>
 #include <memory>
+#include <optional>
+#include <set>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -52,12 +66,14 @@
 #include "protocols/environment.hpp"
 #include "protocols/ledger.hpp"
 #include "psioa/compose.hpp"
+#include "psioa/explicit_psioa.hpp"
 #include "psioa/hide.hpp"
 #include "psioa/random.hpp"
 #include "psioa/rename.hpp"
 #include "sched/schedulers.hpp"
 #include "secure/adversary.hpp"
 #include "secure/emulation.hpp"
+#include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
 namespace cdse {
@@ -420,14 +436,26 @@ TEST(ExactEngineSearch, IdenticalSystemsStayZeroThroughAllEngines) {
 
 // ----------------------------------------------------------------- frames
 
+/// The trace insight, counting its applications.
+class CountingTraceInsight : public TraceInsight {
+ public:
+  Perception apply(Psioa& automaton, const ExecFragment& alpha) const override {
+    ++calls;
+    return TraceInsight::apply(automaton, alpha);
+  }
+  mutable std::size_t calls = 0;
+};
+
 TEST(ExactEngineFrames, LiveStackScalesWithDepthNotConeSize) {
   const PsioaFactory fa = composed_factory(1, "xe_frm");
-  TraceInsight f;
+  CountingTraceInsight f;
+  std::size_t traces = 0;
   auto stats_at = [&](std::size_t depth) {
     PsioaPtr sys = fa();
     UniformScheduler sched(depth);
     ConeStats s;
-    (void)exact_fdist(*sys, sched, f, depth, &s);
+    f.calls = 0;
+    traces = exact_fdist(*sys, sched, f, depth, &s).support_size();
     return s;
   };
   const ConeStats shallow = stats_at(3);
@@ -438,6 +466,271 @@ TEST(ExactEngineFrames, LiveStackScalesWithDepthNotConeSize) {
   // per-level branching), far below the number of edges traversed.
   EXPECT_LE(deep.frames_peak, 4 * shallow.frames_peak);
   EXPECT_LT(8 * deep.frames_peak, deep.frames_pushed);
+  // The trace insight runs once per distinct external trace (the support
+  // of its f-dist), not once per leaf.
+  EXPECT_LE(f.calls, traces);
+  EXPECT_LT(50 * f.calls, deep.leaves);
+}
+
+// ------------------------------------------------------------ trace-keyed
+
+/// Two cross-wired random 4-state components: each one's inputs are the
+/// other's outputs. Under the local uniform scheduler the 1/3, 1/5, ...
+/// choice weights keep every denominator non-dyadic.
+PsioaFactory cross_wired_factory(std::uint64_t stream, const std::string& tag) {
+  return [stream, tag]() -> PsioaPtr {
+    RandomPsioaConfig ca;
+    ca.n_states = 4;
+    ca.n_outputs = 2;
+    ca.n_internals = 1;
+    RandomPsioaConfig cb = ca;
+    ca.input_candidates = acts({"rout0_" + tag + "b", "rout1_" + tag + "b"});
+    cb.input_candidates = acts({"rout0_" + tag + "a", "rout1_" + tag + "a"});
+    Xoshiro256 rng_a = Xoshiro256::for_stream(stream, 0);
+    Xoshiro256 rng_b = Xoshiro256::for_stream(stream, 2);
+    auto a = make_random_psioa(tag + "_A", tag + "a", ca, rng_a);
+    auto b = make_random_psioa(tag + "_B", tag + "b", cb, rng_b);
+    return compose(PsioaPtr(a), PsioaPtr(b));
+  };
+}
+
+SchedulerFactory local_uniform_factory(std::size_t depth) {
+  return [depth]() -> SchedulerPtr {
+    return std::make_shared<UniformScheduler>(depth, /*local_only=*/true);
+  };
+}
+
+/// An internal branch into `width` bisimilar mid states that tick back.
+PsioaPtr make_fork(const std::string& tag, std::size_t width) {
+  auto fork = std::make_shared<ExplicitPsioa>("fork_" + tag);
+  const ActionId a_branch = act("branch_" + tag);
+  const ActionId a_tick = act("tick_" + tag);
+  const State s0 = fork->add_state("idle");
+  Signature sig0;
+  sig0.internal = {a_branch};
+  fork->set_signature(s0, sig0);
+  fork->set_start(s0);
+  Signature sigm;
+  sigm.out = {a_tick};
+  StateDist spread;
+  for (std::size_t i = 0; i < width; ++i) {
+    const State mid = fork->add_state("mid" + std::to_string(i));
+    fork->set_signature(mid, sigm);
+    fork->add_step(mid, a_tick, s0);
+    spread.add(mid, Rational(1, static_cast<std::int64_t>(width)));
+  }
+  fork->add_transition(s0, a_branch, spread);
+  fork->validate();
+  return fork;
+}
+
+using InsightList = std::vector<std::shared_ptr<const InsightFunction>>;
+
+/// The three built-in insights, watching `accept` and printing `print`.
+InsightList builtin_insights(const std::string& accept,
+                             const std::vector<std::string>& print) {
+  ActionSet printed;
+  for (const std::string& name : print) set::insert(printed, act(name));
+  return {std::make_shared<TraceInsight>(),
+          std::make_shared<AcceptInsight>(act(accept)),
+          std::make_shared<PrintInsight>(std::move(printed))};
+}
+
+/// A non-owning list entry for an insight the caller keeps alive.
+std::shared_ptr<const InsightFunction> borrowed(const InsightFunction& f) {
+  return {std::shared_ptr<const InsightFunction>{}, &f};
+}
+
+/// exact_fdist, and ParallelConeEngine at 1/2/4 workers, must equal the
+/// recursive per-execution reference entry for entry, for every insight
+/// in `fs`. With an enabled `policy` the serial engine runs over
+/// reduce_for_enumeration's view and the parallel engine over its
+/// quotient; the reference stays raw.
+void expect_matches_oracle(const PsioaFactory& fa, const SchedulerFactory& sf,
+                           std::size_t depth, const InsightList& fs,
+                           ReductionPolicy policy = {}) {
+  PsioaPtr ref_sys = fa();
+  PsioaPtr sys = fa();
+  const std::optional<ReducedSystem> red =
+      reduce_for_enumeration(*sys, depth, policy);
+  ASSERT_EQ(red.has_value(), policy.enabled());
+  Psioa& walked = red.has_value() ? *red->view : *sys;
+
+  ParallelConeEngine engine(fa, sf, policy);
+  WarmupPlan plan;
+  plan.episodes = 0;
+  plan.horizon = depth;
+  engine.prepare(plan, depth);
+  ASSERT_EQ(engine.reduced(), policy.enabled());
+  std::vector<std::unique_ptr<ThreadPool>> pools;
+  for (std::size_t workers : {1, 2, 4}) {
+    pools.push_back(std::make_unique<ThreadPool>(workers));
+  }
+
+  for (const auto& f : fs) {
+    SCOPED_TRACE(f->name() + " depth=" + std::to_string(depth));
+    SchedulerPtr ref_sched = sf();
+    const ExactDisc<Perception> want =
+        exact_fdist_recursive(*ref_sys, *ref_sched, *f, depth);
+    ASSERT_FALSE(want.empty());
+    SchedulerPtr sched = sf();
+    EXPECT_EQ(exact_fdist(walked, *sched, *f, depth), want);
+    for (const auto& pool : pools) {
+      EXPECT_EQ(engine.exact_fdist(*f, depth, *pool), want)
+          << "workers=" << pool->size();
+    }
+  }
+}
+
+TEST(ExactEngineTraceKeyed, RandomNonDyadicStacksMatchOracle) {
+  // Streams whose depth-5 cones stay near or below 20k edges, so the
+  // per-execution reference stays fast.
+  for (std::uint64_t stream : {1, 7, 22}) {
+    for (std::size_t depth = 3; depth <= 5; ++depth) {
+      const std::string tag =
+          "xe_tk" + std::to_string(stream) + "_" + std::to_string(depth);
+      SCOPED_TRACE(tag);
+      expect_matches_oracle(
+          cross_wired_factory(stream, tag), local_uniform_factory(depth),
+          depth,
+          builtin_insights("rout0_" + tag + "a",
+                           {"rout1_" + tag + "a", "rout0_" + tag + "b"}));
+    }
+  }
+}
+
+TEST(ExactEngineTraceKeyed, PaperStacksMatchOracle) {
+  struct Stack {
+    PsioaFactory make;
+    std::string accept;
+    std::vector<std::string> print;
+  };
+  const std::vector<Stack> stacks{
+      {mac_factory("xe_tkm"), "acc_xe_tkm", {"auth_xe_tkm", "forged_xe_tkm"}},
+      {ledger_factory("xe_tkl"), "ack1_xe_tkl", {"tx1_xe_tkl", "tx2_xe_tkl"}},
+      {faulty_channel_factory("xe_tkf"), "recv0_xe_tkf",
+       {"send1_xe_tkf", "recv1_xe_tkf"}},
+      {hidden_renamed_factory(2, "xe_tkh"), "rout0_xe_tkha",
+       {"rout1_xe_tkha", "rout0_xe_tkhb"}},
+  };
+  for (const Stack& st : stacks) {
+    SCOPED_TRACE(st.accept);
+    expect_matches_oracle(st.make, uniform_factory(kDepth), kDepth + 1,
+                          builtin_insights(st.accept, st.print));
+  }
+}
+
+TEST(ExactEngineTraceKeyed, ForkProductThroughBisimulationMatchesOracle) {
+  const PsioaFactory fa = []() -> PsioaPtr {
+    return compose(make_fork("xe_tkfa", 3), make_fork("xe_tkfb", 4));
+  };
+  expect_matches_oracle(fa, uniform_factory(6), 6,
+                        builtin_insights("tick_xe_tkfa", {"tick_xe_tkfb"}),
+                        ReductionPolicy::bisimulation());
+}
+
+/// Reports the state an execution ends in: two executions with one trace
+/// can end in different states, so this insight is not trace-functional.
+/// `declare` lets a test claim otherwise, to show that the claim matters.
+class EndStateInsight : public InsightFunction {
+ public:
+  explicit EndStateInsight(bool declare = false) : declare_(declare) {}
+  Perception apply(Psioa& automaton, const ExecFragment& alpha) const override {
+    return automaton.state_label(alpha.lstate());
+  }
+  std::string name() const override { return "end-state"; }
+  bool trace_functional() const override { return declare_; }
+
+ private:
+  bool declare_;
+};
+
+/// Forwards to an insight without forwarding trace_functional(), like a
+/// counting or timing wrapper, and counts its calls.
+class ForwardingInsight : public InsightFunction {
+ public:
+  explicit ForwardingInsight(const InsightFunction& inner) : inner_(inner) {}
+  Perception apply(Psioa& automaton, const ExecFragment& alpha) const override {
+    calls_.fetch_add(1, std::memory_order_relaxed);
+    return inner_.apply(automaton, alpha);
+  }
+  std::string name() const override { return "forward-" + inner_.name(); }
+  std::size_t calls() const { return calls_.load(); }
+
+ private:
+  const InsightFunction& inner_;
+  mutable std::atomic<std::size_t> calls_{0};
+};
+
+TEST(ExactEngineTraceKeyed, UndeclaredInsightsKeepPerExecutionPath) {
+  const std::size_t depth = 5;
+  const PsioaFactory fa = cross_wired_factory(1, "xe_tku");
+  const SchedulerFactory sf = local_uniform_factory(depth);
+
+  // The stack has two executions with one trace and different end states.
+  {
+    PsioaPtr sys = fa();
+    SchedulerPtr sched = sf();
+    std::map<Perception, std::set<State>> ends;
+    for_each_halted_execution(
+        *sys, *sched, depth, [&](const ExecFragment& alpha, const Rational&) {
+          ends[trace_string(trace_of(*sys, alpha))].insert(alpha.lstate());
+        });
+    bool shared = false;
+    for (const auto& [trace, states] : ends) shared |= states.size() > 1;
+    ASSERT_TRUE(shared);
+  }
+
+  const EndStateInsight end_state;
+  expect_matches_oracle(fa, sf, depth, {borrowed(end_state)});
+
+  // Declaring the property on it would merge those executions -- so the
+  // stack does tell the two paths apart.
+  {
+    PsioaPtr ref_sys = fa();
+    SchedulerPtr ref_sched = sf();
+    PsioaPtr sys = fa();
+    SchedulerPtr sched = sf();
+    EXPECT_NE(exact_fdist(*sys, *sched, EndStateInsight(true), depth),
+              exact_fdist_recursive(*ref_sys, *ref_sched, end_state, depth));
+  }
+
+  // A wrapper that does not forward the property runs once per execution
+  // and still gives the per-execution answer.
+  const TraceInsight trace;
+  const ForwardingInsight wrapped(trace);
+  expect_matches_oracle(fa, sf, depth, {borrowed(wrapped)});
+  PsioaPtr sys = fa();
+  SchedulerPtr sched = sf();
+  ConeStats stats;
+  const std::size_t before = wrapped.calls();
+  (void)exact_fdist(*sys, *sched, wrapped, depth, &stats);
+  EXPECT_EQ(wrapped.calls() - before, stats.leaves + stats.halts);
+}
+
+TEST(ExactEngineTraceKeyed, RationalOverflowStillThrows) {
+  // Under per-execution accumulation stream 39's cone overflows first at
+  // depth 7, after 394184 pushed edges. Trace-keyed accumulation makes the
+  // same additions in the same order, so it must succeed at depth 6 and
+  // throw at that same point at depth 7.
+  const PsioaFactory fa = cross_wired_factory(39, "xe_tko");
+  TraceInsight f;
+  {
+    PsioaPtr sys = fa();
+    UniformScheduler sched(6, /*local_only=*/true);
+    EXPECT_NO_THROW((void)exact_fdist(*sys, sched, f, 6));
+  }
+  PsioaPtr sys = fa();
+  UniformScheduler sched(7, /*local_only=*/true);
+  ConeStats stats;
+  try {
+    (void)exact_fdist(*sys, sched, f, 7, &stats);
+    ADD_FAILURE() << "expected a Rational overflow at depth 7";
+  } catch (const std::overflow_error& e) {
+    EXPECT_EQ(std::string(e.what()).rfind("Rational: 64-bit overflow", 0), 0u)
+        << e.what();
+  }
+  EXPECT_EQ(stats.frames_pushed, 394184u);
 }
 
 // ------------------------------------------------------------- validation
