@@ -42,7 +42,7 @@
 // -- allocator traffic meter -------------------------------------------------
 // Counting global operator new/delete for this binary only: the E10
 // warm-up rows report how many heap allocations (count and bytes) one
-// cold warm_automaton + freeze performs on each interner backend. The
+// cold warm_automaton + freeze performs on the arena interner. The
 // counters are atomic (warm-up itself is single-threaded, but the
 // parallel sampling rows run concurrently with nothing -- keep it safe).
 
@@ -194,12 +194,15 @@ void BM_ParallelFdist(benchmark::State& state) {
   const std::size_t trials = 20000;
   ThreadPool pool(threads);
   TraceInsight f;
+  ParallelSampler sampler(
+      [] { return make_coin("e10_c", Rational(1, 3)); },
+      [] { return std::make_shared<UniformScheduler>(8); });
+  WarmupPlan plan;
+  plan.horizon = 8;
+  sampler.prepare(plan, 8);
   std::uint64_t seed = 3;
   for (auto _ : state) {
-    auto dist = parallel_sample_fdist(
-        [] { return make_coin("e10_c", Rational(1, 3)); },
-        [] { return std::make_shared<UniformScheduler>(8); }, f, trials,
-        seed++, 8, pool);
+    auto dist = sampler.sample_fdist(f, trials, seed++, 8, pool);
     benchmark::DoNotOptimize(dist);
   }
   state.SetItemsProcessed(
@@ -224,33 +227,7 @@ double rss_kb() {
   return 0.0;
 }
 
-/// The MAC system sampled through clone-per-worker fan-out: each chunk
-/// builds and warms its own automaton + scheduler instance. Comparison
-/// row for the shared-snapshot path below.
-void BM_ParallelFdistComposedClones(benchmark::State& state) {
-  const std::size_t threads = static_cast<std::size_t>(state.range(0));
-  const std::size_t trials = 2000;
-  ThreadPool pool(threads);
-  TraceInsight f;
-  std::uint64_t seed = 4;
-  for (auto _ : state) {
-    auto dist = parallel_sample_fdist(
-        [] { return make_mac_system("e10_h", true); },
-        [] { return std::make_shared<UniformScheduler>(12, true); }, f,
-        trials, seed++, 12, pool);
-    benchmark::DoNotOptimize(dist);
-  }
-  state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations() * trials));
-}
-BENCHMARK(BM_ParallelFdistComposedClones)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->UseRealTime();
-
-/// Same workload over one shared frozen snapshot: prepare() (warm-up +
+/// The MAC system over one shared frozen snapshot: prepare() (warm-up +
 /// freeze) runs once outside the timed region, workers are thin views.
 void BM_SnapshotParallelFdist(benchmark::State& state) {
   const std::size_t threads = static_cast<std::size_t>(state.range(0));
@@ -290,15 +267,15 @@ BENCHMARK(BM_SnapshotParallelFdist)
 /// the chosen mode. Emits the full BatchStats counter set into the JSON
 /// rows -- the amortization pair (action_draws vs row_lookups) plus the
 /// block-kernel accounting (rng_blocks / block_draws / singleton_skips /
-/// rejection_redraws, all zero in kBatchedPerDraw mode).
+/// rejection_redraws). In kSerial mode the batch counters are all zero.
 void BM_BatchedFdistStack(benchmark::State& state, const PsioaFactory& make,
                           std::size_t depth, SamplingMode mode,
                           bool local_only) {
   const std::size_t threads = static_cast<std::size_t>(state.range(0));
-  // 10x the serial snapshot row's trial count: the batched rows measure
-  // the draw-kernel regime (the paper's emulation checks want millions
-  // of executions), and at 2000 trials the fixed per-round class
-  // bookkeeping shared by both kernels hides the kernels' difference.
+  // 10x the snapshot row's trial count: the batched rows measure the
+  // draw-kernel regime (the paper's emulation checks want millions of
+  // executions), and at 2000 trials the fixed per-round class
+  // bookkeeping hides the kernel's cost.
   const std::size_t trials = 20000;
   ThreadPool pool(threads);
   TraceInsight f;
@@ -331,13 +308,14 @@ void BM_BatchedFdistStack(benchmark::State& state, const PsioaFactory& make,
   state.counters["rss_kb"] = rss_kb();
 }
 
-/// The E20 row, pinned to the PR-8 scalar per-draw kernel so it stays
-/// the "before" baseline the E21 block-kernel rows are measured against.
-void BM_BatchedAliasFdist(benchmark::State& state) {
+/// The serial walk over the same snapshot, trials and depth as the
+/// block-kernel row below: the in-process reference the E21 speedup
+/// floor divides by.
+void BM_SerialMacFdist(benchmark::State& state) {
   BM_BatchedFdistStack(state, [] { return make_mac_system("e10_l", true); },
-                       12, SamplingMode::kBatchedPerDraw, /*local_only=*/true);
+                       12, SamplingMode::kSerial, /*local_only=*/true);
 }
-BENCHMARK(BM_BatchedAliasFdist)
+BENCHMARK(BM_SerialMacFdist)
     ->Arg(1)
     ->Arg(2)
     ->Arg(4)
@@ -360,15 +338,15 @@ BENCHMARK(BM_BlockBatchedFdist)
 /// E21, ledger stack: the dynamic-creation PCA ledger ensemble -- wider
 /// choice rows and genuinely probabilistic transitions, so the block
 /// kernel leans on bulk fills rather than singleton elision here.
-void BM_BatchedAliasLedgerFdist(benchmark::State& state) {
+void BM_SerialLedgerFdist(benchmark::State& state) {
   // The non-local uniform scheduler keeps a residual halt slot in every
-  // choice row, so the ledger rows exercise genuine bulk fills (the MAC
-  // rows above lean on singleton elision instead).
+  // choice row, so the ledger block row below exercises genuine bulk
+  // fills (the MAC rows above lean on singleton elision instead).
   BM_BatchedFdistStack(state,
                        [] { return make_ledger_system(2, "e10_n").dynamic; },
-                       8, SamplingMode::kBatchedPerDraw, /*local_only=*/false);
+                       8, SamplingMode::kSerial, /*local_only=*/false);
 }
-BENCHMARK(BM_BatchedAliasLedgerFdist)
+BENCHMARK(BM_SerialLedgerFdist)
     ->Arg(1)
     ->Arg(2)
     ->Arg(4)
@@ -392,7 +370,7 @@ BENCHMARK(BM_BlockBatchedLedgerFdist)
 /// price only the interner's fixed costs (first arena chunk, reserved
 /// tables); this pair of wide random automata, cross-wired through each
 /// other's outputs, gives the BFS warm-up hundreds of composite states
-/// to intern -- the per-key regime the arena backend targets.
+/// to intern -- the per-key regime the arena interner targets.
 PsioaPtr make_wide_ensemble(const std::string& tag) {
   Xoshiro256 rng(0x51deULL);
   RandomPsioaConfig ca;
@@ -409,19 +387,12 @@ PsioaPtr make_wide_ensemble(const std::string& tag) {
   return compose(PsioaPtr(a), PsioaPtr(b));
 }
 
-/// Cold warm-up + freeze on a chosen interner backend: every iteration
-/// builds a fresh ParallelSampler over the wide ensemble, runs the full
-/// BFS warm-up (prepare) and a short parallel sample over the frozen
-/// snapshot. This is the E10 row pair behind the arena-interning claim:
-/// map vs arena at identical semantics (the differential suite pins
-/// draw-for-draw equality), differing only in allocator traffic, probe
-/// counts and interner-attributed bytes.
-void BM_ColdWarmupFreeze(benchmark::State& state,
-                         StateInterner::Backend backend,
-                         const std::string& tag) {
+/// Cold warm-up + freeze: every iteration builds a fresh ParallelSampler
+/// over the wide ensemble, runs the full BFS warm-up (prepare) and a
+/// short parallel sample over the frozen snapshot, reporting allocator
+/// traffic, probe counts and interner-attributed bytes.
+void BM_ColdWarmupFreeze(benchmark::State& state, const std::string& tag) {
   const std::size_t threads = static_cast<std::size_t>(state.range(0));
-  const StateInterner::Backend prev = StateInterner::default_backend();
-  StateInterner::set_default_backend(backend);
   ThreadPool pool(threads);
   TraceInsight f;
   std::uint64_t seed = 6;
@@ -446,7 +417,6 @@ void BM_ColdWarmupFreeze(benchmark::State& state,
     alloc_calls = g_alloc_calls.load(std::memory_order_relaxed) - c0;
     last = sampler.residue_intern_stats();
   }
-  StateInterner::set_default_backend(prev);
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
   state.counters["alloc_bytes"] = static_cast<double>(alloc_bytes);
   state.counters["alloc_calls"] = static_cast<double>(alloc_calls);
@@ -458,18 +428,8 @@ void BM_ColdWarmupFreeze(benchmark::State& state,
   state.counters["rss_kb"] = rss_kb();
 }
 
-void BM_ColdWarmupFreezeMap(benchmark::State& state) {
-  BM_ColdWarmupFreeze(state, StateInterner::Backend::kMap, "e10_j");
-}
-BENCHMARK(BM_ColdWarmupFreezeMap)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->UseRealTime();
-
 void BM_ColdWarmupFreezeArena(benchmark::State& state) {
-  BM_ColdWarmupFreeze(state, StateInterner::Backend::kArena, "e10_k");
+  BM_ColdWarmupFreeze(state, "e10_k");
 }
 BENCHMARK(BM_ColdWarmupFreezeArena)
     ->Arg(1)

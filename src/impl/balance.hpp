@@ -16,23 +16,21 @@
 namespace cdse {
 
 /// Exact epsilon: balance distance between the two exact f-dists.
-Rational exact_balance_epsilon(Psioa& lhs, Scheduler& sigma_lhs, Psioa& rhs,
-                               Scheduler& sigma_rhs, const InsightFunction& f,
-                               std::size_t max_depth);
-
-/// Exact epsilon through an enabled ReductionPolicy: each side is
-/// frozen, minimized to its bisimulation quotient, and enumerated over
-/// blocks -- the result is Rational-equal to the unreduced overload
-/// (quotienting preserves every signature-driven scheduler and
-/// trace-functional insight exactly; tests/quotient_test.cpp pins the
-/// equality across the whole stack zoo). Sides whose covering warm-up
-/// truncates fall back to the raw enumeration, so the overloads always
-/// agree. `stats` (optional) receives the enumeration counters summed
-/// over both sides, including quotient_states/quotient_blocks.
+///
+/// With an enabled `policy` each side is frozen, minimized to its
+/// bisimulation quotient, and enumerated over blocks -- the result is
+/// Rational-equal to the unreduced enumeration (quotienting preserves
+/// every signature-driven scheduler and trace-functional insight
+/// exactly; tests/quotient_test.cpp pins the equality across the whole
+/// stack zoo). Sides whose covering warm-up truncates fall back to the
+/// raw enumeration. The default (disabled) policy enumerates both sides
+/// directly with exact_fdist. `stats` (optional) receives the
+/// enumeration counters summed over both sides, including
+/// quotient_states/quotient_blocks.
 Rational exact_balance_epsilon(Psioa& lhs, Scheduler& sigma_lhs, Psioa& rhs,
                                Scheduler& sigma_rhs, const InsightFunction& f,
                                std::size_t max_depth,
-                               const ReductionPolicy& policy,
+                               const ReductionPolicy& policy = {},
                                ConeStats* stats = nullptr);
 
 /// True iff sigma_lhs S^{<=eps}_{E,f} sigma_rhs, exactly.
@@ -41,7 +39,10 @@ bool balanced(Psioa& lhs, Scheduler& sigma_lhs, Psioa& rhs,
               std::size_t max_depth, const Rational& eps);
 
 /// Sampled epsilon with Hoeffding error radius, for systems too large to
-/// enumerate. Returns (estimate, radius) at confidence 1 - delta.
+/// enumerate. Returns (estimate, radius) at confidence 1 - delta. Each
+/// side runs on a ParallelSampler prepared with WarmupPlan{horizon =
+/// max_depth} and samples in kSerial mode (draw-for-draw the
+/// clone-per-worker estimate at the same seeds).
 struct SampledEpsilon {
   double estimate = 0.0;
   double radius = 1.0;
@@ -86,14 +87,13 @@ struct SequentialEpsilon {
 /// stratified tally reweights by exact cone mass, with sample budget
 /// steered toward strata whose action words show the largest cross-side
 /// cone-mass gap (policy.split_boost). The plain path stays available
-/// (split_depth == 0) as the differential reference. kSerial mode is
-/// rejected; policy.active() is required.
+/// (split_depth == 0) as the differential reference. Both paths step
+/// with the batched block kernel; policy.active() is required.
 SequentialEpsilon sequential_balance_epsilon(
     const PsioaFactory& make_lhs, const SchedulerFactory& make_sigma_lhs,
     const PsioaFactory& make_rhs, const SchedulerFactory& make_sigma_rhs,
     const InsightFunction& f, const SequentialPolicy& policy,
-    std::uint64_t seed, std::size_t max_depth, ThreadPool& pool,
-    SamplingMode mode = SamplingMode::kBatched);
+    std::uint64_t seed, std::size_t max_depth, ThreadPool& pool);
 
 /// Per-stratum conditional tallies (importance splitting), exposed for
 /// the chi-square unbiasedness gates: for each live stratum i of
@@ -107,7 +107,7 @@ std::vector<Disc<Perception, double>> stratified_sample_counts(
     const ParallelSampler& sampler, const InsightFunction& f,
     const PrefixStrata& strata, const std::vector<std::size_t>& alloc,
     std::uint64_t seed, std::size_t max_depth, ThreadPool& pool,
-    SamplingMode mode = SamplingMode::kBatched, BatchStats* stats = nullptr);
+    BatchStats* stats = nullptr);
 
 /// Rao-style reweighted estimate: settled (exact, to double) plus
 /// sum_i cone_mass_i * counts_i / n_i over live strata -- unbiased for

@@ -69,7 +69,7 @@ SampledImplementationReport check_implementation_sampled(
     const std::vector<LabeledSchedulerFactory>& schedulers,
     const SchedulerCorrespondence& correspond, const InsightFunction& f,
     std::size_t max_depth, ThreadPool& pool, const SequentialPolicy& policy,
-    std::uint64_t seed, SamplingMode mode) {
+    std::uint64_t seed) {
   SampledImplementationReport report;
   const std::size_t cells = envs.size() * schedulers.size();
   report.all_below = cells > 0;
@@ -92,7 +92,7 @@ SampledImplementationReport check_implementation_sampled(
     const SequentialEpsilon cell = sequential_balance_epsilon(
         make_lhs, make_sigma, make_rhs, make_matched, f, cell_policy,
         seed + static_cast<std::uint64_t>(idx) * 0x9e3779b97f4a7c15ULL,
-        max_depth, pool, mode);
+        max_depth, pool);
     report.rows.push_back({env.label, sched.label, cell.estimate, cell.radius,
                            cell.verdict, cell.trials, cell.draws});
     report.max_eps = std::max(report.max_eps, cell.estimate);

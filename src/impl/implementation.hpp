@@ -129,7 +129,7 @@ SampledImplementationReport check_implementation_sampled(
     const std::vector<LabeledSchedulerFactory>& schedulers,
     const SchedulerCorrespondence& correspond, const InsightFunction& f,
     std::size_t max_depth, ThreadPool& pool, const SequentialPolicy& policy,
-    std::uint64_t seed, SamplingMode mode = SamplingMode::kBatched);
+    std::uint64_t seed);
 
 /// Transitivity helper (Theorem 4.16 / B.4): epsilon13 <= eps12 + eps23
 /// checked on concrete chains by the caller; this just packages the

@@ -21,8 +21,8 @@
 // states or memoize. One automaton instance must be driven by one
 // thread -- this covers the memo tables and compiled rows as well,
 // which are per-instance and unsynchronized. Parallel sampling respects
-// the rule two ways (see sched/sampler): the clone-per-worker path gives
-// every worker its own factory-built instance, and the shared-snapshot
+// the rule two ways (see sched/sampler): the guarded sampler gives every
+// worker its own factory-built instance, and the shared-snapshot
 // path (psioa/snapshot.hpp) hands workers thin views over one frozen,
 // immutable table set -- concurrent reads of frozen state need no
 // synchronization, and the single mutable residue instance is serialized

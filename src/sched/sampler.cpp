@@ -71,11 +71,6 @@ std::uint64_t rotate_seed(std::uint64_t seed, std::size_t attempt) {
   return seed + static_cast<std::uint64_t>(attempt) * 0x9e3779b97f4a7c15ULL;
 }
 
-BatchKernel kernel_of(SamplingMode mode) {
-  return mode == SamplingMode::kBatchedPerDraw ? BatchKernel::kPerDraw
-                                               : BatchKernel::kBlock;
-}
-
 }  // namespace
 
 Disc<Perception, double> guarded_parallel_sample_fdist(
@@ -150,40 +145,6 @@ Disc<Perception, double> guarded_parallel_sample_fdist(
     }
   }
   if (report != nullptr) *report = rep;
-  return merged;
-}
-
-Disc<Perception, double> parallel_sample_fdist(
-    const PsioaFactory& make_automaton, const SchedulerFactory& make_sched,
-    const InsightFunction& f, std::size_t trials, std::uint64_t seed,
-    std::size_t max_depth, ThreadPool& pool, SamplingMode mode) {
-  const std::size_t chunks = pool.size();
-  std::vector<Disc<Perception, double>> partial(chunks);
-  parallel_for_chunks(
-      pool, trials,
-      [&](std::size_t chunk, std::size_t begin, std::size_t end) {
-        PsioaPtr automaton = make_automaton();
-        SchedulerPtr sched = make_sched();
-        Xoshiro256 rng = Xoshiro256::for_stream(seed, chunk);
-        Disc<Perception, double>& out = partial[chunk];
-        if (mode != SamplingMode::kSerial) {
-          out = batched_sample_counts(*automaton, *sched, f, end - begin,
-                                      rng, max_depth, nullptr,
-                                      kernel_of(mode));
-          return;
-        }
-        for (std::size_t i = begin; i < end; ++i) {
-          const ExecFragment alpha =
-              sample_execution(*automaton, *sched, rng, max_depth);
-          out.add(f.apply(*automaton, alpha), 1.0);
-        }
-      });
-  Disc<Perception, double> merged;
-  for (const auto& p : partial) {
-    for (const auto& [perc, count] : p.entries()) {
-      merged.add(perc, count / static_cast<double>(trials));
-    }
-  }
   return merged;
 }
 
@@ -281,10 +242,10 @@ Disc<Perception, double> ParallelSampler::sample_fdist(
   if (!prepared()) {
     throw std::logic_error("ParallelSampler: prepare() before sample_fdist()");
   }
-  // Mirrors parallel_sample_fdist chunk for chunk and (in kSerial mode)
-  // draw for draw: same static partition, same per-chunk streams, same
-  // merge order. The only difference is what backs the automaton each
-  // worker drives. kBatched chunks run the lockstep trajectory-class
+  // Mirrors guarded_parallel_sample_fdist chunk for chunk and (in kSerial
+  // mode) draw for draw: same static partition, same per-chunk streams,
+  // same merge order. The only difference is what backs the automaton
+  // each worker drives. kBatched chunks run the lockstep trajectory-class
   // engine over the same frozen snapshot instead.
   const std::size_t chunks = pool.size();
   std::vector<Disc<Perception, double>> partial(chunks);
@@ -297,10 +258,9 @@ Disc<Perception, double> ParallelSampler::sample_fdist(
         SchedulerPtr sched = worker_scheduler();
         Xoshiro256 rng = Xoshiro256::for_stream(seed, chunk);
         Disc<Perception, double>& out = partial[chunk];
-        if (mode != SamplingMode::kSerial) {
+        if (mode == SamplingMode::kBatched) {
           out = batched_sample_counts(*view, *sched, f, end - begin, rng,
-                                      max_depth, &bstats[chunk],
-                                      kernel_of(mode));
+                                      max_depth, &bstats[chunk]);
         } else {
           for (std::size_t i = begin; i < end; ++i) {
             const ExecFragment alpha =
@@ -326,9 +286,9 @@ Disc<Perception, double> ParallelSampler::sample_fdist(
 Disc<Perception, double> ParallelSampler::sample_fdist_incremental(
     const InsightFunction& f, std::size_t trials, std::uint64_t seed,
     std::size_t max_depth, ThreadPool& pool, std::size_t rounds_per_wave,
-    const WaveCallback& on_wave, SamplingMode mode) {
+    const WaveCallback& on_wave) {
   IncrementalFdistRun run(*this, f, trials, seed, max_depth, pool,
-                          rounds_per_wave, mode);
+                          rounds_per_wave);
   while (!run.done()) {
     const WaveReport& rep = run.step_wave();
     if (on_wave != nullptr && !on_wave(rep, run.partial_fdist())) {
@@ -356,23 +316,15 @@ IncrementalFdistRun::IncrementalFdistRun(const ParallelSampler& sampler,
                                          std::uint64_t seed,
                                          std::size_t max_depth,
                                          ThreadPool& pool,
-                                         std::size_t rounds_per_wave,
-                                         SamplingMode mode)
+                                         std::size_t rounds_per_wave)
     : f_(f), trials_(trials), pool_(pool) {
   if (!sampler.prepared()) {
     throw std::logic_error(
         "IncrementalFdistRun: prepare() the sampler before running");
   }
-  if (mode == SamplingMode::kSerial) {
-    throw std::invalid_argument(
-        "IncrementalFdistRun: kSerial has no round structure; use a "
-        "batched mode");
-  }
-  const BatchKernel kernel = kernel_of(mode);
-
   // Chunk partition and streams mirror parallel_for_chunks / the
-  // one-shot sample_fdist exactly: min(pool, trials) chunks (at least
-  // one), chunk c sized trials/chunks plus one of the trials%chunks
+  // one-shot kBatched sample_fdist exactly: min(pool, trials) chunks (at
+  // least one), chunk c sized trials/chunks plus one of the trials%chunks
   // remainders, stream c of `seed`. That makes a run driven to
   // completion merge the exact same per-chunk count tallies in the
   // exact same order as the one-shot call, hence a bit-identical
@@ -396,7 +348,7 @@ IncrementalFdistRun::IncrementalFdistRun(const ParallelSampler& sampler,
     chunks_[c].sched = sampler.worker_scheduler();
     const std::size_t len = per + (c < rem ? 1 : 0);
     chunks_[c].bs.emplace(*chunks_[c].view, *chunks_[c].sched, len,
-                          Xoshiro256::for_stream(seed, c), max_depth, kernel);
+                          Xoshiro256::for_stream(seed, c), max_depth);
     chunks_[c].bs->track_deltas(true);
   }
   report_.rounds_per_wave = rounds_per_wave_;

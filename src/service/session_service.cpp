@@ -237,8 +237,8 @@ ShardedStateInterner::CollectResult MacSessionService::advance_epoch() {
   if (!opts_.gc) return {};
   // Compaction renumbers a shard's local handles; rewrite the stored
   // handles of every live session that points into it. Runs quiescently
-  // (advance_epoch's contract), so taking the table locks inside the
-  // interner's shard lock cannot deadlock against ops.
+  // (advance_epoch's contract); the interner calls this after releasing
+  // its shard lock, so the table locks are never nested inside it.
   auto remap = [this](std::size_t shard,
                       const std::vector<ShardedStateInterner::Handle>& map) {
     for (auto& tsh : table_) {

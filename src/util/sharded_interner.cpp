@@ -75,23 +75,28 @@ ShardedStateInterner::CollectResult ShardedStateInterner::collect(
   std::vector<Handle> old_to_new;
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     Shard& shard = *shards_[s];
-    std::lock_guard<std::mutex> lk(shard.mu);
-    const std::size_t before = shard.interner.stats().bytes_reclaimed;
-    result.keys_collected += shard.interner.collect();
-    const std::size_t total = shard.interner.size();
-    const std::size_t live = shard.interner.live_keys();
-    const bool worth_compacting =
-        total >= 1024 &&
-        static_cast<double>(total - live) >
-            compact_threshold * static_cast<double>(total);
-    if (worth_compacting) {
-      shard.interner.compact(&old_to_new);
-      ++shard.compactions;
-      ++result.shards_compacted;
-      if (remap_fn) remap_fn(s, old_to_new);
+    bool compacted = false;
+    {
+      std::lock_guard<std::mutex> lk(shard.mu);
+      const std::size_t before = shard.interner.stats().bytes_reclaimed;
+      result.keys_collected += shard.interner.collect();
+      const std::size_t total = shard.interner.size();
+      const std::size_t live = shard.interner.live_keys();
+      compacted = total >= 1024 &&
+                  static_cast<double>(total - live) >
+                      compact_threshold * static_cast<double>(total);
+      if (compacted) {
+        shard.interner.compact(&old_to_new);
+        ++shard.compactions;
+        ++result.shards_compacted;
+      }
+      result.bytes_reclaimed +=
+          shard.interner.stats().bytes_reclaimed - before;
     }
-    result.bytes_reclaimed +=
-        shard.interner.stats().bytes_reclaimed - before;
+    // Outside the shard lock: the owner's remap takes its own locks, and
+    // nesting them inside ours would order the two lock families against
+    // the ops that intern while holding the owner's locks.
+    if (compacted && remap_fn) remap_fn(s, old_to_new);
   }
   return result;
 }

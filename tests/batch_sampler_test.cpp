@@ -12,7 +12,9 @@
 //                    f-dists over the same stack zoo as the exact-engine
 //                    suite (composed, hidden+renamed, MAC, ledger,
 //                    faulty channel) agree under the two-sample
-//                    chi-square at every worker count in {1, 2, 4, 8}.
+//                    chi-square at every worker count in {1, 2, 4, 8};
+//                    the serial side is the clone-per-worker reference
+//                    (guarded_parallel_sample_fdist, default guard).
 //
 // Suite names all start with "BatchSampler" so scripts/check.sh --tsan
 // can select the concurrency-bearing cases by regex.
@@ -22,7 +24,6 @@
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -186,12 +187,14 @@ TEST(BatchSamplerUnit, BatchedFdistIsSeedDeterministic) {
 TEST(BatchSampler, ParallelBatchedIsDeterministicAtFixedPoolSize) {
   ThreadPool pool(4);
   TraceInsight f;
-  auto make_aut = mac_factory("bs_pdet");
-  auto make_sched = uniform_factory(kDepth);
-  const auto d1 = parallel_sample_fdist(make_aut, make_sched, f, kTrials, 9,
-                                        kDepth, pool, SamplingMode::kBatched);
-  const auto d2 = parallel_sample_fdist(make_aut, make_sched, f, kTrials, 9,
-                                        kDepth, pool, SamplingMode::kBatched);
+  ParallelSampler sampler(mac_factory("bs_pdet"), uniform_factory(kDepth));
+  WarmupPlan plan;
+  plan.horizon = kDepth;
+  sampler.prepare(plan, kDepth);
+  const auto d1 = sampler.sample_fdist(f, kTrials, 9, kDepth, pool,
+                                       SamplingMode::kBatched);
+  const auto d2 = sampler.sample_fdist(f, kTrials, 9, kDepth, pool,
+                                       SamplingMode::kBatched);
   ASSERT_EQ(d1.entries().size(), d2.entries().size());
   for (std::size_t i = 0; i < d1.entries().size(); ++i) {
     EXPECT_EQ(d1.entries()[i].first, d2.entries()[i].first);
@@ -215,17 +218,23 @@ TEST(BatchSamplerUnit, BatchedFdistMatchesExactEnumerator) {
 // ------------------------------------------------------------- vs serial
 
 TEST(BatchSampler, BatchedMatchesSerialAcrossZooAndWorkerCounts) {
+  // Serial side: the clone-per-worker reference, every chunk on its own
+  // factory-built instance. Batched side: the block kernel over a frozen
+  // snapshot.
   TraceInsight f;
   for (const Stack& stack : stack_zoo()) {
     auto make_sched = uniform_factory(kDepth);
+    ParallelSampler sampler(stack.make, make_sched);
+    WarmupPlan plan;
+    plan.horizon = kDepth;
+    sampler.prepare(plan, kDepth);
     for (std::size_t workers : kWorkerCounts) {
       ThreadPool pool(workers);
-      const auto serial =
-          parallel_sample_fdist(stack.make, make_sched, f, kTrials, 101,
-                                kDepth, pool, SamplingMode::kSerial);
-      const auto batched =
-          parallel_sample_fdist(stack.make, make_sched, f, kTrials, 202,
-                                kDepth, pool, SamplingMode::kBatched);
+      const auto serial = guarded_parallel_sample_fdist(
+          stack.make, make_sched, f, kTrials, 101, kDepth, pool,
+          SampleGuard{}, nullptr);
+      const auto batched = sampler.sample_fdist(f, kTrials, 202, kDepth,
+                                                pool, SamplingMode::kBatched);
       EXPECT_TRUE(testing::fdists_match(serial, kTrials, batched, kTrials))
           << stack.label << " at " << workers << " workers";
     }
@@ -268,40 +277,6 @@ void expect_bit_identical(const Disc<Perception, double>& a,
     EXPECT_EQ(a.entries()[i].first, b.entries()[i].first) << what;
     EXPECT_EQ(a.entries()[i].second, b.entries()[i].second) << what;
   }
-}
-
-TEST(BatchSampler, PerDrawKernelMatchesSerialAcrossZoo) {
-  // The PR-8 reference kernel stays gated against the serial path.
-  TraceInsight f;
-  for (const Stack& stack : stack_zoo()) {
-    auto make_sched = uniform_factory(kDepth);
-    ThreadPool pool(4);
-    const auto serial =
-        parallel_sample_fdist(stack.make, make_sched, f, kTrials, 111,
-                              kDepth, pool, SamplingMode::kSerial);
-    const auto perdraw =
-        parallel_sample_fdist(stack.make, make_sched, f, kTrials, 222,
-                              kDepth, pool, SamplingMode::kBatchedPerDraw);
-    EXPECT_TRUE(testing::fdists_match(serial, kTrials, perdraw, kTrials))
-        << stack.label;
-  }
-}
-
-TEST(BatchSampler, BlockKernelMatchesPerDrawKernelStatistically) {
-  // The two kernels consume the RNG differently, so the bar here is
-  // distributional; the bitwise bar below is between ISA paths of the
-  // *same* kernel.
-  TraceInsight f;
-  ParallelSampler sampler(mac_factory("bs_kern"), uniform_factory(kDepth));
-  WarmupPlan plan;
-  plan.horizon = kDepth;
-  sampler.prepare(plan, kDepth);
-  ThreadPool pool(4);
-  const auto block = sampler.sample_fdist(f, kTrials, 505, kDepth, pool,
-                                          SamplingMode::kBatched);
-  const auto perdraw = sampler.sample_fdist(f, kTrials, 606, kDepth, pool,
-                                            SamplingMode::kBatchedPerDraw);
-  EXPECT_TRUE(testing::fdists_match(block, kTrials, perdraw, kTrials));
 }
 
 TEST(BatchSampler, BlockKernelIsaPathsProduceBitIdenticalTallies) {
@@ -351,23 +326,14 @@ TEST(BatchSampler, BlockCountersAccountForRngTraffic) {
   (void)sampler.sample_fdist(f, kTrials, 808, kDepth, pool,
                              SamplingMode::kBatched);
   const BatchStats block = sampler.last_batch_stats();
-  // Logical draw counting is kernel-independent...
   EXPECT_GE(block.action_draws, kTrials);
-  // ...but the block kernel must have elided singleton rows (the MAC
-  // stack's transitions are mostly deterministic) and bulk-filled the
-  // rest.
+  // The block kernel must have elided singleton rows (the MAC stack's
+  // transitions are mostly deterministic) and bulk-filled the rest.
   EXPECT_GT(block.singleton_skips, 0u);
   EXPECT_GT(block.blocks_filled, 0u);
   EXPECT_GT(block.block_draws, 0u);
   EXPECT_LT(block.block_draws,
             2 * (block.action_draws + block.target_draws));
-  (void)sampler.sample_fdist(f, kTrials, 808, kDepth, pool,
-                             SamplingMode::kBatchedPerDraw);
-  const BatchStats perdraw = sampler.last_batch_stats();
-  EXPECT_EQ(perdraw.blocks_filled, 0u);
-  EXPECT_EQ(perdraw.block_draws, 0u);
-  EXPECT_EQ(perdraw.singleton_skips, 0u);
-  EXPECT_EQ(perdraw.rejection_redraws, 0u);
 }
 
 // ------------------------------------------------------ incremental rounds
@@ -379,22 +345,19 @@ TEST(BatchSamplerUnit, RunRoundsResumeIsBitIdentical) {
   UniformScheduler s1(kDepth);
   UniformScheduler s2(kDepth);
   const Xoshiro256 rng(55);
-  for (const BatchKernel kernel :
-       {BatchKernel::kBlock, BatchKernel::kPerDraw}) {
-    BatchSampler split(*coin, s1, 5000, rng, kDepth, kernel);
-    BatchSampler whole(*coin, s2, 5000, rng, kDepth, kernel);
-    std::size_t ran = 0;
-    while (!split.done()) ran += split.run_rounds(2);
-    whole.run_to_completion();
-    EXPECT_EQ(ran, whole.rounds_done());
-    EXPECT_EQ(split.trials_terminal(), whole.trials_terminal());
-    EXPECT_EQ(split.trials_terminal(), 5000u);
-    EXPECT_EQ(split.fragments(), whole.fragments());
-    EXPECT_EQ(split.stats().action_draws, whole.stats().action_draws);
-    EXPECT_EQ(split.stats().target_draws, whole.stats().target_draws);
-    EXPECT_EQ(split.stats().distinct_executions,
-              whole.stats().distinct_executions);
-  }
+  BatchSampler split(*coin, s1, 5000, rng, kDepth);
+  BatchSampler whole(*coin, s2, 5000, rng, kDepth);
+  std::size_t ran = 0;
+  while (!split.done()) ran += split.run_rounds(2);
+  whole.run_to_completion();
+  EXPECT_EQ(ran, whole.rounds_done());
+  EXPECT_EQ(split.trials_terminal(), whole.trials_terminal());
+  EXPECT_EQ(split.trials_terminal(), 5000u);
+  EXPECT_EQ(split.fragments(), whole.fragments());
+  EXPECT_EQ(split.stats().action_draws, whole.stats().action_draws);
+  EXPECT_EQ(split.stats().target_draws, whole.stats().target_draws);
+  EXPECT_EQ(split.stats().distinct_executions,
+            whole.stats().distinct_executions);
 }
 
 TEST(BatchSamplerUnit, AccumulateCountsIsMonotoneAcrossWaves) {
@@ -424,24 +387,19 @@ TEST(BatchSamplerUnit, AccumulateCountsIsMonotoneAcrossWaves) {
 TEST(BatchSampler, IncrementalRunToCompletionEqualsOneShot) {
   // The headline incremental contract: driven to completion, the waved
   // path merges the exact same chunk tallies in the exact same order as
-  // the one-shot call -- bit-identical, per mode, per worker count.
+  // the one-shot call -- bit-identical, per worker count.
   TraceInsight f;
   ParallelSampler sampler(mac_factory("bs_iosh"), uniform_factory(kDepth));
   WarmupPlan plan;
   plan.horizon = kDepth;
   sampler.prepare(plan, kDepth);
-  for (const SamplingMode mode :
-       {SamplingMode::kBatched, SamplingMode::kBatchedPerDraw}) {
-    for (std::size_t workers : kWorkerCounts) {
-      ThreadPool pool(workers);
-      const auto oneshot =
-          sampler.sample_fdist(f, kTrials, 909, kDepth, pool, mode);
-      const auto waved = sampler.sample_fdist_incremental(
-          f, kTrials, 909, kDepth, pool, /*rounds_per_wave=*/1, nullptr,
-          mode);
-      expect_bit_identical(oneshot, waved,
-                           std::to_string(workers) + " workers");
-    }
+  for (std::size_t workers : kWorkerCounts) {
+    ThreadPool pool(workers);
+    const auto oneshot = sampler.sample_fdist(f, kTrials, 909, kDepth, pool,
+                                              SamplingMode::kBatched);
+    const auto waved = sampler.sample_fdist_incremental(
+        f, kTrials, 909, kDepth, pool, /*rounds_per_wave=*/1);
+    expect_bit_identical(oneshot, waved, std::to_string(workers) + " workers");
   }
 }
 
@@ -519,19 +477,6 @@ TEST(BatchSampler, IncrementalMatchesSerialStatistically) {
   const auto waved = sampler.sample_fdist_incremental(
       f, kTrials, 4004, kDepth, pool, /*rounds_per_wave=*/2);
   EXPECT_TRUE(testing::fdists_match(serial, kTrials, waved, kTrials));
-}
-
-TEST(BatchSampler, IncrementalRejectsSerialMode) {
-  TraceInsight f;
-  ParallelSampler sampler(mac_factory("bs_irej"), uniform_factory(kDepth));
-  WarmupPlan plan;
-  plan.horizon = kDepth;
-  sampler.prepare(plan, kDepth);
-  ThreadPool pool(1);
-  EXPECT_THROW(sampler.sample_fdist_incremental(f, 100, 1, kDepth, pool, 1,
-                                                nullptr,
-                                                SamplingMode::kSerial),
-               std::invalid_argument);
 }
 
 }  // namespace

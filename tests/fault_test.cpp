@@ -316,8 +316,13 @@ TEST(GuardedSampler, CompleteRunMatchesUnguarded) {
   SampleReport rep;
   const auto guarded = guarded_parallel_sample_fdist(
       factory, sched_factory, f, 4000, 11, 10, pool, guard, &rep);
-  const auto plain = parallel_sample_fdist(factory, sched_factory, f, 4000,
-                                           11, 10, pool);
+  // The unguarded reference: the shared-snapshot sampler in serial mode
+  // runs the same chunks on the same streams.
+  ParallelSampler sampler(factory, sched_factory);
+  WarmupPlan plan;
+  plan.horizon = 10;
+  sampler.prepare(plan, 10);
+  const auto plain = sampler.sample_fdist(f, 4000, 11, 10, pool);
   EXPECT_TRUE(rep.complete);
   EXPECT_TRUE(bool(rep));
   EXPECT_FALSE(rep.deadline_hit);

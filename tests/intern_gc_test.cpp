@@ -1,12 +1,14 @@
 // Session GC at the handle-store layer (util/state_interner.hpp,
 // util/sharded_interner.hpp): arena chunk accounting, the retire /
-// collect / compact epoch discipline, the map-vs-arena differential
-// staying like-for-like after GC, and the sharded interner's concurrent
-// interning + quiescent compaction with handle remapping.
+// collect / compact epoch discipline, the arena interner staying
+// like-for-like with a std::map model after GC, and the sharded
+// interner's concurrent interning + quiescent compaction with handle
+// remapping.
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <map>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
@@ -77,7 +79,7 @@ TEST(ArenaGc, BumpTargetSparedUntilSweep) {
 // -- StateInterner retire / collect -----------------------------------------
 
 TEST(InternGc, RetiredHandleStopsResolvingAndKeyInternsFresh) {
-  StateInterner si(StateInterner::Backend::kArena);
+  StateInterner si;
   const Handle h0 = si.intern_tuple(key2(1, 2));
   const Handle h1 = si.intern_tuple(key2(3, 4));
   EXPECT_TRUE(si.is_live(h0));
@@ -102,7 +104,7 @@ TEST(InternGc, RetiredHandleStopsResolvingAndKeyInternsFresh) {
 }
 
 TEST(InternGc, CollectReclaimsDeadChunksAndPreservesLiveKeys) {
-  StateInterner si(StateInterner::Backend::kArena);
+  StateInterner si;
   constexpr std::size_t kKeys = 4096;
   std::vector<Handle> hs;
   hs.reserve(kKeys);
@@ -133,7 +135,7 @@ TEST(InternGc, SlotTableStopsGrowingUnderChurn) {
   // Live population is bounded at 256; intern/retire/collect cycles must
   // not keep doubling the slot table (the load factor counts live +
   // pending keys, not every key ever interned).
-  StateInterner si(StateInterner::Backend::kArena);
+  StateInterner si;
   std::size_t rehashes_after_warm = 0;
   for (std::uint64_t cycle = 0; cycle < 50; ++cycle) {
     std::vector<Handle> hs;
@@ -149,7 +151,7 @@ TEST(InternGc, SlotTableStopsGrowingUnderChurn) {
 }
 
 TEST(InternGc, CompactRenumbersDenselyWithRemap) {
-  StateInterner si(StateInterner::Backend::kArena);
+  StateInterner si;
   constexpr std::size_t kKeys = 100;
   std::vector<Handle> hs;
   for (std::uint64_t i = 0; i < kKeys; ++i) {
@@ -178,40 +180,69 @@ TEST(InternGc, CompactRenumbersDenselyWithRemap) {
   EXPECT_EQ(si.intern_tuple(key2(12345, 0)), kKeys / 2);
 }
 
+/// std::map model of the legacy interners' naming semantics: dense
+/// handles in discovery order, retire() unnames a key at once, and an
+/// equal key interned afterwards gets a fresh handle.
+class MapInternerModel {
+ public:
+  Handle intern(const std::vector<std::uint64_t>& k) {
+    const auto [it, fresh] = index_.emplace(k, keys_.size());
+    if (fresh) {
+      keys_.push_back(k);
+      live_.push_back(true);
+    }
+    return it->second;
+  }
+  void retire(Handle h) {
+    index_.erase(keys_[h]);
+    live_[h] = false;
+  }
+  std::size_t size() const { return keys_.size(); }
+  bool is_live(Handle h) const { return live_[h]; }
+  const std::vector<std::uint64_t>& key(Handle h) const { return keys_[h]; }
+
+ private:
+  std::map<std::vector<std::uint64_t>, Handle> index_;
+  std::vector<std::vector<std::uint64_t>> keys_;
+  std::vector<bool> live_;
+};
+
 TEST(InternGc, MapVsArenaDifferentialStaysLikeForLikeAfterGc) {
-  // Same intern/retire/collect/re-intern sequence on both backends:
-  // handle values, live population, and *byte attribution of live keys*
-  // must agree -- the backends differ in held memory (arena chunks vs map
-  // nodes), never in accounting semantics.
-  StateInterner arena(StateInterner::Backend::kArena);
-  StateInterner map(StateInterner::Backend::kMap);
-  auto drive = [](StateInterner& si) {
-    std::vector<Handle> hs;
-    for (std::uint64_t i = 0; i < 512; ++i) {
-      hs.push_back(si.intern_tuple(key2(i, i ^ 0xabc)));
-    }
-    for (std::uint64_t i = 0; i < 512; i += 3) si.retire(hs[i]);
-    si.collect();
-    for (std::uint64_t i = 0; i < 100; ++i) {
-      hs.push_back(si.intern_tuple(key2(i, i ^ 0xabc)));  // some re-interns
-    }
-    return hs;
-  };
-  const auto ha = drive(arena);
-  const auto hm = drive(map);
+  // Same intern/retire/collect/re-intern sequence on the arena interner
+  // and on the std::map model: handle values, live population, key
+  // round-trips and live-byte attribution must agree.
+  StateInterner arena;
+  MapInternerModel model;
+  std::vector<Handle> ha, hm;
+  for (std::uint64_t i = 0; i < 512; ++i) {
+    ha.push_back(arena.intern_tuple(key2(i, i ^ 0xabc)));
+    hm.push_back(model.intern(key2(i, i ^ 0xabc)));
+  }
+  std::size_t live = 512;
+  for (std::uint64_t i = 0; i < 512; i += 3) {
+    EXPECT_TRUE(arena.retire(ha[i]));
+    model.retire(hm[i]);
+    --live;
+  }
+  arena.collect();
+  for (std::uint64_t i = 0; i < 100; ++i) {
+    // Retired keys re-intern under fresh handles; live ones dedupe.
+    ha.push_back(arena.intern_tuple(key2(i, i ^ 0xabc)));
+    hm.push_back(model.intern(key2(i, i ^ 0xabc)));
+    if (i % 3 == 0) ++live;
+  }
   EXPECT_EQ(ha, hm);
-  EXPECT_EQ(arena.size(), map.size());
-  EXPECT_EQ(arena.live_keys(), map.live_keys());
+  EXPECT_EQ(arena.size(), model.size());
+  EXPECT_EQ(arena.live_keys(), live);
   const InternStats sa = arena.stats();
-  const InternStats sm = map.stats();
-  EXPECT_EQ(sa.keys, sm.keys);
-  EXPECT_EQ(sa.keys_retired, sm.keys_retired);
-  EXPECT_EQ(sa.bytes_live, sm.bytes_live);
-  for (std::uint64_t h = 0; h < arena.size(); ++h) {
-    ASSERT_EQ(arena.is_live(h), map.is_live(h));
+  EXPECT_EQ(sa.keys, model.size());
+  EXPECT_EQ(sa.keys_retired, 512u / 3 + 1);
+  EXPECT_EQ(sa.bytes_live, live * 2 * sizeof(std::uint64_t));
+  for (Handle h = 0; h < arena.size(); ++h) {
+    ASSERT_EQ(arena.is_live(h), model.is_live(h));
     if (arena.is_live(h)) {
-      ASSERT_EQ(arena.tuple(h)[0], map.tuple(h)[0]);
-      ASSERT_EQ(arena.tuple(h)[1], map.tuple(h)[1]);
+      ASSERT_EQ(arena.tuple(h)[0], model.key(h)[0]);
+      ASSERT_EQ(arena.tuple(h)[1], model.key(h)[1]);
     }
   }
 }

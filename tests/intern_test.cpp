@@ -5,13 +5,15 @@
 //                   StateInterner dense handles, round-trips, rehash
 //                   behaviour, and the length-seeded hash (the retired
 //                   ComposedPsioa::TupleHash ignored tuple arity).
-//   differential -- the same automaton stacks built on Backend::kMap (the
-//                   legacy node-based interners' shape) and Backend::kArena
-//                   must be indistinguishable: identical exact f-dists,
+//   model        -- handle assignment checked against a std::map model of
+//                   the legacy per-instance interners: dense handles in
+//                   discovery order, identical round-trips.
+//   differential -- two fresh builds of the same automaton stack must be
+//                   indistinguishable: identical exact f-dists (which
+//                   must also equal the recursive reference enumerator),
 //                   draw-for-draw identical fixed-seed executions (handles
-//                   included -- both backends assign dense handles in
-//                   discovery order), bitwise-identical sampled f-dists,
-//                   and identical results through freeze()/SnapshotPsioa.
+//                   included), bitwise-identical sampled f-dists, and
+//                   identical results through freeze()/SnapshotPsioa.
 //                   Covered stacks: random composed, hidden+renamed,
 //                   structured MAC, PCA ledger, faulty channel, crashable,
 //                   byzantine.
@@ -106,7 +108,7 @@ TEST(ArenaTest, OversizedAllocationGetsItsOwnChunk) {
 // --------------------------------------------------------- interner units
 
 TEST(StateInternerTest, DenseHandlesInDiscoveryOrder) {
-  StateInterner in(StateInterner::Backend::kArena);
+  StateInterner in;
   const std::uint64_t a[] = {1, 2, 3};
   const std::uint64_t b[] = {4, 5};
   const std::uint64_t c[] = {1, 2, 4};
@@ -122,7 +124,7 @@ TEST(StateInternerTest, DenseHandlesInDiscoveryOrder) {
 }
 
 TEST(StateInternerTest, TupleRoundTrip) {
-  StateInterner in(StateInterner::Backend::kArena);
+  StateInterner in;
   std::vector<std::vector<std::uint64_t>> keys;
   Xoshiro256 rng(99);
   for (int i = 0; i < 200; ++i) {
@@ -139,7 +141,7 @@ TEST(StateInternerTest, TupleRoundTrip) {
 }
 
 TEST(StateInternerTest, BytesRoundTrip) {
-  StateInterner in(StateInterner::Backend::kArena);
+  StateInterner in;
   const std::string s1 = "hello";
   const std::string s2 = "hello world, a longer key crossing the pad";
   const auto h1 = in.intern_bytes(s1.data(), s1.size());
@@ -162,7 +164,7 @@ TEST(StateInternerTest, UnknownHandleThrows) {
 }
 
 TEST(StateInternerTest, RehashPreservesHandlesAndKeys) {
-  StateInterner in(StateInterner::Backend::kArena);
+  StateInterner in;
   std::vector<std::vector<std::uint64_t>> keys;
   for (std::uint64_t i = 0; i < 10000; ++i) {
     keys.push_back({i * 3, i ^ 0xabcdef, i});
@@ -180,7 +182,7 @@ TEST(StateInternerTest, RehashPreservesHandlesAndKeys) {
 }
 
 TEST(StateInternerTest, ReserveAvoidsMidWalkRehashes) {
-  StateInterner in(StateInterner::Backend::kArena);
+  StateInterner in;
   in.reserve(10000);
   for (std::uint64_t i = 0; i < 10000; ++i) {
     const std::uint64_t w[] = {i, ~i};
@@ -205,7 +207,7 @@ TEST(StateInternerTest, HashMixesTupleLength) {
       EXPECT_NE(hashes[i], hashes[j]) << "lengths " << i << " vs " << j;
     }
   }
-  StateInterner in(StateInterner::Backend::kArena);
+  StateInterner in;
   for (std::size_t n = 0; n <= 4; ++n) {
     EXPECT_EQ(in.intern_tuple(zeros, n), n);
   }
@@ -213,45 +215,30 @@ TEST(StateInternerTest, HashMixesTupleLength) {
 }
 
 TEST(StateInternerTest, MapBackendAssignsIdenticalHandles) {
-  StateInterner arena(StateInterner::Backend::kArena);
-  StateInterner map(StateInterner::Backend::kMap);
+  // The legacy interners were std::map indexes handing out dense handles
+  // in discovery order; the arena table must assign the same handles and
+  // round-trip the same keys.
+  StateInterner arena;
+  std::map<std::vector<std::uint64_t>, StateInterner::Handle> model;
+  std::vector<std::vector<std::uint64_t>> model_keys;
   Xoshiro256 rng(7);
   for (int i = 0; i < 2000; ++i) {
     std::vector<std::uint64_t> k(1 + rng.below(4));
     for (auto& w : k) w = rng.below(50);  // collisions guaranteed
-    ASSERT_EQ(arena.intern_tuple(k), map.intern_tuple(k));
+    const auto [it, fresh] = model.emplace(k, model_keys.size());
+    if (fresh) model_keys.push_back(k);
+    ASSERT_EQ(arena.intern_tuple(k), it->second);
   }
-  EXPECT_EQ(arena.size(), map.size());
+  EXPECT_EQ(arena.size(), model_keys.size());
   for (StateInterner::Handle h = 0; h < arena.size(); ++h) {
     const TupleRef ta = arena.tuple(h);
-    const TupleRef tm = map.tuple(h);
-    ASSERT_EQ(ta.size(), tm.size());
-    for (std::size_t i = 0; i < ta.size(); ++i) EXPECT_EQ(ta[i], tm[i]);
+    EXPECT_EQ(std::vector<std::uint64_t>(ta.begin(), ta.end()),
+              model_keys[h]);
   }
-}
-
-TEST(StateInternerTest, ArenaHalvesMapBackendFootprint) {
-  // The tentpole's memory claim at unit scale: identical key load, the
-  // arena backend must hold less than half the bytes of the map-shaped
-  // baseline (one inline copy vs node + string copy + word-vector copy).
-  StateInterner arena(StateInterner::Backend::kArena);
-  StateInterner map(StateInterner::Backend::kMap);
-  arena.reserve(4096);
-  for (std::uint64_t i = 0; i < 4096; ++i) {
-    const std::uint64_t w[] = {i, i * 31};
-    (void)arena.intern_tuple(w, 2);
-    (void)map.intern_tuple(w, 2);
-  }
-  const InternStats sa = arena.stats();
-  const InternStats sm = map.stats();
-  EXPECT_EQ(sa.keys, sm.keys);
-  EXPECT_GT(sa.arena_chunks, 0u);
-  EXPECT_GE(sm.arena_bytes, 2 * sa.arena_bytes)
-      << "arena=" << sa.arena_bytes << " map=" << sm.arena_bytes;
 }
 
 TEST(StateInternerTest, StatsCountLookupsAndProbes) {
-  StateInterner in(StateInterner::Backend::kArena);
+  StateInterner in;
   const std::uint64_t w[] = {1, 2};
   (void)in.intern_tuple(w, 2);
   (void)in.intern_tuple(w, 2);
@@ -267,19 +254,6 @@ TEST(StateInternerTest, StatsCountLookupsAndProbes) {
 constexpr std::size_t kFdistDepth = 4;
 constexpr std::size_t kSampleDepth = 8;
 constexpr std::size_t kTrials = 400;
-
-/// Scoped process-default backend flip (restores on scope exit).
-class BackendGuard {
- public:
-  explicit BackendGuard(StateInterner::Backend b)
-      : prev_(StateInterner::default_backend()) {
-    StateInterner::set_default_backend(b);
-  }
-  ~BackendGuard() { StateInterner::set_default_backend(prev_); }
-
- private:
-  StateInterner::Backend prev_;
-};
 
 PsioaFactory composed_factory(int seed, const std::string& tag) {
   return [seed, tag]() -> PsioaPtr {
@@ -358,17 +332,15 @@ Disc<Perception, double> sampled_of(Psioa& sys, std::uint64_t seed) {
   return sample_fdist(sys, sched, f, kTrials, seed, kSampleDepth);
 }
 
-/// One backend's observation of a stack: exact f-dist, 12 fixed-seed
-/// executions (handles included), and a sampled f-dist.
+/// One fresh build's observation of a stack: exact f-dist, 12
+/// fixed-seed executions (handles included), and a sampled f-dist.
 struct Observation {
   ExactDisc<Perception> exact;
   std::vector<ExecFragment> runs;
   Disc<Perception, double> sampled;
 };
 
-Observation observe(const PsioaFactory& fa, StateInterner::Backend backend,
-                    std::uint64_t seed) {
-  BackendGuard guard(backend);
+Observation observe(const PsioaFactory& fa, std::uint64_t seed) {
   Observation obs;
   PsioaPtr sys = fa();
   obs.exact = exact_of(*sys);
@@ -381,26 +353,30 @@ Observation observe(const PsioaFactory& fa, StateInterner::Backend backend,
   return obs;
 }
 
-/// The differential core: a stack built on the legacy map-shaped backend
-/// and on the arena backend must agree exactly, draw for draw, handle for
-/// handle (both assign dense handles in discovery order).
-void expect_backends_agree(const PsioaFactory& fa, std::uint64_t seed) {
-  const Observation m = observe(fa, StateInterner::Backend::kMap, seed);
-  const Observation a = observe(fa, StateInterner::Backend::kArena, seed);
-  EXPECT_EQ(m.exact, a.exact);
-  ASSERT_EQ(m.runs.size(), a.runs.size());
-  for (std::size_t t = 0; t < m.runs.size(); ++t) {
-    EXPECT_EQ(m.runs[t], a.runs[t]) << "trace " << t;
+/// The differential core: two fresh builds of a stack must agree
+/// exactly, draw for draw, handle for handle (the interner assigns dense
+/// handles in discovery order), and the exact f-dist must match the
+/// recursive reference enumerator on a third build.
+void expect_builds_agree(const PsioaFactory& fa, std::uint64_t seed) {
+  const Observation first = observe(fa, seed);
+  const Observation second = observe(fa, seed);
+  EXPECT_EQ(first.exact, second.exact);
+  ASSERT_EQ(first.runs.size(), second.runs.size());
+  for (std::size_t t = 0; t < first.runs.size(); ++t) {
+    EXPECT_EQ(first.runs[t], second.runs[t]) << "trace " << t;
   }
-  EXPECT_EQ(m.sampled, a.sampled);
+  EXPECT_EQ(first.sampled, second.sampled);
+  PsioaPtr sys = fa();
+  UniformScheduler sched(kFdistDepth);
+  TraceInsight f;
+  EXPECT_EQ(first.exact,
+            exact_fdist_recursive(*sys, sched, f, kFdistDepth + 1));
 }
 
 /// Same comparison through the frozen-snapshot engine: prepare() (BFS
-/// warm-up + freeze) and parallel sample_fdist must be backend-blind.
-void expect_backends_agree_frozen(const PsioaFactory& fa,
-                                  std::uint64_t seed) {
-  auto run = [&fa, seed](StateInterner::Backend b) {
-    BackendGuard guard(b);
+/// warm-up + freeze) and parallel sample_fdist must be build-blind.
+void expect_builds_agree_frozen(const PsioaFactory& fa, std::uint64_t seed) {
+  auto run = [&fa, seed] {
     SchedulerFactory fs = [] {
       return std::make_shared<UniformScheduler>(kSampleDepth);
     };
@@ -415,27 +391,26 @@ void expect_backends_agree_frozen(const PsioaFactory& fa,
     const InternStats st = sampler.residue_intern_stats();
     return std::make_pair(dist, st);
   };
-  const auto [dist_map, st_map] = run(StateInterner::Backend::kMap);
-  const auto [dist_arena, st_arena] = run(StateInterner::Backend::kArena);
-  EXPECT_EQ(dist_map, dist_arena);
-  // Both backends interned the same key set in the same order.
-  EXPECT_EQ(st_map.keys, st_arena.keys);
-  EXPECT_GT(st_arena.keys, 0u);
-  EXPECT_GT(st_arena.arena_chunks, 0u);
-  EXPECT_EQ(st_map.arena_chunks, 0u);
+  const auto [dist_first, st_first] = run();
+  const auto [dist_second, st_second] = run();
+  EXPECT_EQ(dist_first, dist_second);
+  // Both builds interned the same key set in the same order.
+  EXPECT_EQ(st_first.keys, st_second.keys);
+  EXPECT_GT(st_first.keys, 0u);
+  EXPECT_GT(st_first.arena_chunks, 0u);
 }
 
 class InternBackendDifferential : public ::testing::TestWithParam<int> {};
 
 TEST_P(InternBackendDifferential, ComposedStack) {
   const int n = GetParam();
-  expect_backends_agree(composed_factory(n, "it_a" + std::to_string(n)),
+  expect_builds_agree(composed_factory(n, "it_a" + std::to_string(n)),
                         5000 + n);
 }
 
 TEST_P(InternBackendDifferential, HiddenRenamedStack) {
   const int n = GetParam();
-  expect_backends_agree(hidden_renamed_factory(n, "it_b" + std::to_string(n)),
+  expect_builds_agree(hidden_renamed_factory(n, "it_b" + std::to_string(n)),
                         6000 + n);
 }
 
@@ -443,35 +418,35 @@ INSTANTIATE_TEST_SUITE_P(Random, InternBackendDifferential,
                          ::testing::Range(0, 4));
 
 TEST(InternBackendStacks, StructuredSecureStack) {
-  expect_backends_agree(mac_factory("it_mac"), 43);
+  expect_builds_agree(mac_factory("it_mac"), 43);
 }
 
 TEST(InternBackendStacks, PcaLedgerStack) {
-  expect_backends_agree(ledger_factory("it_led"), 11);
+  expect_builds_agree(ledger_factory("it_led"), 11);
 }
 
 TEST(InternBackendStacks, FaultyChannelStack) {
-  expect_backends_agree(faulty_channel_factory("it_fl"), 17);
+  expect_builds_agree(faulty_channel_factory("it_fl"), 17);
 }
 
 TEST(InternBackendStacks, CrashableStack) {
-  expect_backends_agree(crashable_factory("it_cr"), 19);
+  expect_builds_agree(crashable_factory("it_cr"), 19);
 }
 
 TEST(InternBackendStacks, ByzantineStack) {
-  expect_backends_agree(byzantine_factory("it_bz"), 23);
+  expect_builds_agree(byzantine_factory("it_bz"), 23);
 }
 
 TEST(InternBackendStacks, FrozenSnapshotComposed) {
-  expect_backends_agree_frozen(composed_factory(3, "it_frz"), 29);
+  expect_builds_agree_frozen(composed_factory(3, "it_frz"), 29);
 }
 
 TEST(InternBackendStacks, FrozenSnapshotMac) {
-  expect_backends_agree_frozen(mac_factory("it_frzm"), 31);
+  expect_builds_agree_frozen(mac_factory("it_frzm"), 31);
 }
 
 TEST(InternBackendStacks, FrozenSnapshotLedger) {
-  expect_backends_agree_frozen(ledger_factory("it_frzl"), 37);
+  expect_builds_agree_frozen(ledger_factory("it_frzl"), 37);
 }
 
 // ------------------------------------------------- growth-stability
@@ -514,7 +489,6 @@ TEST(InternGrowthStability, DynamicPcaTransitionsSurviveInterningGrowth) {
 TEST(InternGrowthStability, ComposedTupleViewsSurviveInterningGrowth) {
   // TupleRef views borrow arena storage: a view taken early must still
   // read the same words after thousands of later internings.
-  BackendGuard guard(StateInterner::Backend::kArena);
   auto sys = std::dynamic_pointer_cast<ComposedPsioa>(
       composed_factory(5, "it_tv")());
   ASSERT_NE(sys, nullptr);

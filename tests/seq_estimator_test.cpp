@@ -34,7 +34,6 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -349,18 +348,6 @@ TEST(SeqEstWaves, EarlyStopReturnsNormalizedPartial) {
   double mass = 0.0;
   for (const auto& [perc, p] : partial.entries()) mass += p;
   EXPECT_NEAR(mass, 1.0, 1e-9);
-}
-
-TEST(SeqEstWaves, SerialModeRejected) {
-  ThreadPool pool(1);
-  TraceInsight f;
-  ParallelSampler sampler(ledger_factory("se_l"), uniform_factory(kDepth));
-  WarmupPlan plan;
-  plan.horizon = kDepth;
-  sampler.prepare(plan, kDepth);
-  EXPECT_THROW(IncrementalFdistRun(sampler, f, 100, 1, kDepth, pool, 1,
-                                   SamplingMode::kSerial),
-               std::invalid_argument);
 }
 
 // -------------------------------------------------------------- coverage

@@ -355,16 +355,19 @@ TEST(SnapshotStatsTest, ShallowWarmupOverflowsDeterministically) {
 }
 
 TEST(SnapshotSeedReproducibility, MatchesCloneParallelPathOnLeafSystem) {
-  // The E10 parallel workload: plain clone-per-worker sampling of a coin
-  // must be reproduced exactly -- same chunks, same streams, same draws,
-  // same merge -- by the snapshot path.
+  // The E10 parallel workload: clone-per-worker sampling of a coin (the
+  // guarded sampler under a default guard) must be reproduced exactly --
+  // same chunks, same streams, same draws, same merge -- by the snapshot
+  // path.
   const PsioaFactory fa = [] { return make_coin("sn_coin", Rational(1, 3)); };
   const SchedulerFactory fs = [] {
     return std::make_shared<UniformScheduler>(8);
   };
   TraceInsight f;
   ThreadPool pool(4);
-  const auto plain = parallel_sample_fdist(fa, fs, f, 4000, 17, 8, pool);
+  const auto plain = guarded_parallel_sample_fdist(fa, fs, f, 4000, 17, 8,
+                                                   pool, SampleGuard{},
+                                                   nullptr);
   ParallelSampler sampler(fa, fs);
   sampler.prepare(full_plan(8), 8);
   const auto shared = sampler.sample_fdist(f, 4000, 17, 8, pool);
