@@ -266,8 +266,9 @@ BENCHMARK(BM_SnapshotParallelFdist)
 /// over one frozen snapshot, stepped by the batched lockstep engine in
 /// the chosen mode. Emits the full BatchStats counter set into the JSON
 /// rows -- the amortization pair (action_draws vs row_lookups) plus the
-/// block-kernel accounting (rng_blocks / block_draws / singleton_skips /
-/// rejection_redraws). In kSerial mode the batch counters are all zero.
+/// class-splitting RNG accounting (binomial_draws / block_draws /
+/// singleton_skips / rejection_redraws). In kSerial mode the batch
+/// counters are all zero.
 void BM_BatchedFdistStack(benchmark::State& state, const PsioaFactory& make,
                           std::size_t depth, SamplingMode mode,
                           bool local_only) {
@@ -299,18 +300,18 @@ void BM_BatchedFdistStack(benchmark::State& state, const PsioaFactory& make,
   state.counters["choice_lookups"] = static_cast<double>(bs.choice_lookups);
   state.counters["distinct_execs"] =
       static_cast<double>(bs.distinct_executions);
-  state.counters["rng_blocks"] = static_cast<double>(bs.blocks_filled);
   state.counters["block_draws"] = static_cast<double>(bs.block_draws);
   state.counters["singleton_skips"] =
       static_cast<double>(bs.singleton_skips);
   state.counters["rejection_redraws"] =
       static_cast<double>(bs.rejection_redraws);
+  state.counters["binomial_draws"] = static_cast<double>(bs.binomial_draws);
   state.counters["rss_kb"] = rss_kb();
 }
 
 /// The serial walk over the same snapshot, trials and depth as the
-/// block-kernel row below: the in-process reference the E21 speedup
-/// floor divides by.
+/// batched row below: the in-process reference the E21 speedup floor
+/// divides by.
 void BM_SerialMacFdist(benchmark::State& state) {
   BM_BatchedFdistStack(state, [] { return make_mac_system("e10_l", true); },
                        12, SamplingMode::kSerial, /*local_only=*/true);
@@ -322,8 +323,9 @@ BENCHMARK(BM_SerialMacFdist)
     ->Arg(8)
     ->UseRealTime();
 
-/// E21: the same MAC workload stepped by the block draw kernel -- wide
-/// RNG fills, SoA alias gathers, singleton elision.
+/// E21: the same MAC workload stepped by the batched sampler -- class
+/// splitting by binomial draws, singleton elision. (The row keeps its
+/// name from the per-trial block kernel it measured before.)
 void BM_BlockBatchedFdist(benchmark::State& state) {
   BM_BatchedFdistStack(state, [] { return make_mac_system("e10_m", true); },
                        12, SamplingMode::kBatched, /*local_only=*/true);
@@ -336,12 +338,12 @@ BENCHMARK(BM_BlockBatchedFdist)
     ->UseRealTime();
 
 /// E21, ledger stack: the dynamic-creation PCA ledger ensemble -- wider
-/// choice rows and genuinely probabilistic transitions, so the block
-/// kernel leans on bulk fills rather than singleton elision here.
+/// choice rows and genuinely probabilistic transitions, so the batched
+/// sampler leans on binomial splits rather than singleton elision here.
 void BM_SerialLedgerFdist(benchmark::State& state) {
   // The non-local uniform scheduler keeps a residual halt slot in every
-  // choice row, so the ledger block row below exercises genuine bulk
-  // fills (the MAC rows above lean on singleton elision instead).
+  // choice row, so the ledger batched row below exercises genuine
+  // multi-slot splits (the MAC rows above lean on singleton elision).
   BM_BatchedFdistStack(state,
                        [] { return make_ledger_system(2, "e10_n").dynamic; },
                        8, SamplingMode::kSerial, /*local_only=*/false);

@@ -13,8 +13,9 @@
 #   scripts/check.sh --bench-smoke  # Release build of the E10 engine
 #                               # bench, tiny-parameter run, checks that
 #                               # BENCH_engine.json is produced (incl.
-#                               # the E21 block-kernel rows and the
-#                               # block-vs-serial speedup floor, plus
+#                               # the E21 block-kernel rows, their
+#                               # binomial class-splitting counter and
+#                               # the block-vs-serial speedup floor, plus
 #                               # the E22 sequential-estimator rows and
 #                               # their 2x draw-reduction floor); also
 #                               # runs the E18 service soak at <=1k
@@ -121,6 +122,16 @@ if [[ "${1:-}" == "--bench-smoke" ]]; then
   grep -q BM_SerialMacFdist build-bench/BENCH_engine.json
   grep -q BM_SerialLedgerFdist build-bench/BENCH_engine.json
   grep -q BM_BlockBatchedLedgerFdist build-bench/BENCH_engine.json
+  # The MAC block row's 20000-trial start class is far above the class
+  # splitting threshold, so the binomial path must have run there.
+  python3 - <<'PY'
+import json
+with open("build-bench/BENCH_engine.json") as f:
+    rows = {b["name"]: b for b in json.load(f)["benchmarks"]}
+row = next(r for n, r in rows.items() if n.startswith("BM_BlockBatchedFdist/1/"))
+print(f"E21 class splitting: binomial_draws = {row['binomial_draws']:.0f}")
+assert row["binomial_draws"] > 0, "BM_BlockBatchedFdist/1 drew no binomials"
+PY
   # ...and the block kernel must actually be fast. Absolute numbers from
   # a shared runner are noise, but the serial/block *ratio* on the same
   # stack in the same process is stable once each row is a median of

@@ -52,15 +52,18 @@ class CompiledSnapshot;
 /// walked to_double() partial sums, so the refactor is draw-for-draw
 /// reproducible at fixed seed. The row also carries a Walker alias
 /// table over the same support, built at the same compile time and
-/// frozen (immutably shared across workers) together with the CDF: the
-/// batched sampling mode draws targets in O(1) through sample_alias,
-/// equivalent to sample() in distribution but not draw-for-draw (the
-/// two consume the RNG differently).
+/// frozen (immutably shared across workers) together with the CDF:
+/// sample_alias draws a target in O(1), equivalent to sample() in
+/// distribution but not draw-for-draw (the two consume the RNG
+/// differently). `split` holds the same support's conditional split
+/// probabilities (util/alias.hpp), from which the batched sampler draws
+/// a class's per-target tally as one multinomial.
 struct CompiledRow {
   StateDist dist;             ///< exact eta_{(A,q,a)}, canonical form
   std::vector<State> targets; ///< dist support, in entry order
   std::vector<double> cdf;    ///< running sums of dist weights as doubles
   AliasTable alias;           ///< O(1) draw table over the same support
+  std::vector<double> split;  ///< conditional_splits of the exact weights
 
   static CompiledRow compile(StateDist d) {
     CompiledRow row;
@@ -68,6 +71,8 @@ struct CompiledRow {
     row.cdf.reserve(d.entries().size());
     std::vector<double> weights;
     weights.reserve(d.entries().size());
+    std::vector<Rational> exact;
+    exact.reserve(d.entries().size());
     double acc = 0.0;
     for (const auto& [q2, w] : d.entries()) {
       const double wd = w.to_double();
@@ -75,8 +80,10 @@ struct CompiledRow {
       row.targets.push_back(q2);
       row.cdf.push_back(acc);
       weights.push_back(wd);
+      exact.push_back(w);
     }
     row.alias = AliasTable::build(weights);
+    row.split = conditional_splits(exact);
     row.dist = std::move(d);
     return row;
   }

@@ -173,6 +173,8 @@ CompiledRow compile_row_by_encoding(StateDist d, Psioa& encoder) {
   row.cdf.reserve(entries.size());
   std::vector<double> weights;
   weights.reserve(entries.size());
+  std::vector<Rational> exact;
+  exact.reserve(entries.size());
   double acc = 0.0;
   for (std::size_t i : order) {
     const double w = entries[i].second.to_double();
@@ -180,8 +182,10 @@ CompiledRow compile_row_by_encoding(StateDist d, Psioa& encoder) {
     row.targets.push_back(entries[i].first);
     row.cdf.push_back(acc);
     weights.push_back(w);
+    exact.push_back(entries[i].second);
   }
   row.alias = AliasTable::build(weights);
+  row.split = conditional_splits(exact);
   row.dist = std::move(d);
   return row;
 }

@@ -8,15 +8,6 @@
 
 namespace cdse {
 
-namespace {
-
-/// Draws resolved per bulk fill by the block kernel. Large enough to
-/// amortize dispatch and fill overhead, small enough to keep the three
-/// scratch buffers (~64 KiB total) in L2.
-constexpr std::uint64_t kDrawBlock = 4096;
-
-}  // namespace
-
 BatchSampler::BatchSampler(Psioa& automaton, Scheduler& sched,
                            std::size_t trials, const Xoshiro256& rng,
                            std::size_t max_depth)
@@ -84,9 +75,10 @@ void BatchSampler::flush_survivors() {
   flushed_ = true;
 }
 
-void BatchSampler::tally_draws(const AliasTable& alias, std::uint64_t count,
+void BatchSampler::tally_draws(const std::vector<double>& split,
+                               std::uint64_t count,
                                std::vector<std::uint64_t>& tally) {
-  const std::size_t n_slots = alias.size();
+  const std::size_t n_slots = split.size();
   if (n_slots == 1) {
     // Singleton elision: one slot means the draw is determined; spend no
     // RNG at all. (Deterministic transitions dominate the stack
@@ -95,23 +87,20 @@ void BatchSampler::tally_draws(const AliasTable& alias, std::uint64_t count,
     stats_.singleton_skips += count;
     return;
   }
-  const auto bound = static_cast<std::uint32_t>(n_slots);
+  // Class splitting: slot s takes Binomial(remaining, split[s]) in slot
+  // order and the last slot the rest -- one multinomial draw of the
+  // whole class, O(slots) whatever its size.
   std::uint64_t left = count;
-  while (left > 0) {
-    const auto m = static_cast<std::size_t>(std::min(left, kDrawBlock));
-    if (idx_buf_.size() < m) {
-      idx_buf_.resize(m);
-      u_buf_.resize(m);
-      out_buf_.resize(m);
-    }
-    stats_.rejection_redraws += block_.fill_below(idx_buf_.data(), m, bound);
-    block_.fill_uniform(u_buf_.data(), m);
-    alias.pick_block(idx_buf_.data(), u_buf_.data(), out_buf_.data(), m);
-    for (std::size_t k = 0; k < m; ++k) ++tally[out_buf_[k]];
-    ++stats_.blocks_filled;
-    stats_.block_draws += 2 * static_cast<std::uint64_t>(m);
-    left -= m;
+  for (std::size_t s = 0; s + 1 < n_slots && left > 0; ++s) {
+    std::size_t words = 0;
+    const std::uint64_t x = block_.binomial(left, split[s], &words);
+    ++stats_.binomial_draws;
+    stats_.block_draws += words;
+    if (words > 1) stats_.rejection_redraws += words - 1;
+    tally[s] += x;
+    left -= x;
   }
+  tally[n_slots - 1] += left;
 }
 
 void BatchSampler::one_round() {
@@ -154,7 +143,7 @@ void BatchSampler::one_round() {
     }
 
     const std::size_t n_actions = choice->actions.size();
-    const std::size_t n_slots = choice->alias.size();
+    const std::size_t n_slots = choice->split.size();
     // Transition rows of this run, resolved on first use. Memo rows live
     // in node-stable maps; fallback rows (no compiled engine) are
     // compiled once per run into a deque for address stability.
@@ -165,7 +154,7 @@ void BatchSampler::one_round() {
       const std::size_t c = order_[j];
       act_tally_.assign(n_slots, 0);
       stats_.action_draws += cls_count_[c];
-      tally_draws(choice->alias, cls_count_[c], act_tally_);
+      tally_draws(choice->split, cls_count_[c], act_tally_);
       // Slots past the action list are the residual-mass halt slot.
       std::uint64_t halted = 0;
       for (std::size_t s = n_actions; s < n_slots; ++s) halted += act_tally_[s];
@@ -186,7 +175,7 @@ void BatchSampler::one_round() {
         const std::size_t n_targets = row.targets.size();
         tgt_tally_.assign(n_targets, 0);
         stats_.target_draws += act_tally_[s];
-        tally_draws(row.alias, act_tally_[s], tgt_tally_);
+        tally_draws(row.split, act_tally_[s], tgt_tally_);
         for (std::size_t t = 0; t < n_targets; ++t) {
           if (tgt_tally_[t] == 0) continue;
           const auto child = static_cast<std::int32_t>(nodes_.size());
@@ -228,13 +217,22 @@ void BatchSampler::run_to_completion() {
 
 const Disc<Perception, double>& BatchSampler::accumulate_counts(
     const InsightFunction& f) {
+  if (counted_ == terminal_.size()) return counts_;
+  // Sort the fresh tallies once and merge them linearly: a per-class
+  // Disc::add is a sorted-vector insert, quadratic in the support on
+  // runs with thousands of distinct traces. Counts are integer-valued
+  // doubles (exact below 2^53), so the merge order cannot change a bit.
+  std::vector<std::pair<Perception, double>> fresh;
+  fresh.reserve(terminal_.size() - counted_);
   for (; counted_ < terminal_.size(); ++counted_) {
     const TerminalClass& tc = terminal_[counted_];
-    const Perception perc = f.apply(automaton_, fragment_of(tc.node));
-    const double count = static_cast<double>(tc.count);
-    counts_.add(perc, count);
-    if (track_deltas_) delta_.add(perc, count);
+    fresh.emplace_back(f.apply(automaton_, fragment_of(tc.node)),
+                       static_cast<double>(tc.count));
   }
+  std::sort(fresh.begin(), fresh.end(),
+            [](const auto& x, const auto& y) { return x.first < y.first; });
+  if (track_deltas_) delta_.add_sorted(fresh);
+  counts_.add_sorted(std::move(fresh));
   return counts_;
 }
 

@@ -1,6 +1,7 @@
 #pragma once
-// Batched lockstep execution sampling over compiled alias rows, with a
-// vectorized block draw kernel and an incremental-rounds API.
+// Batched lockstep execution sampling over compiled rows, drawing each
+// trajectory class's successors as one multinomial, with an
+// incremental-rounds API.
 //
 // The serial sampler (sched/sampler.hpp) walks one execution at a time:
 // every step pays a scheduler row lookup, a linear CDF scan, a compiled
@@ -22,26 +23,40 @@
 //     until a terminal class is expanded for the insight function, and
 //     the insight function itself runs once per *distinct* execution,
 //     weighted by its class count.
-//   - Draws go through the rows' Walker alias tables (util/alias.hpp):
-//     O(1) per draw regardless of support width.
+//   - A class's draws are resolved all at once, by class splitting
+//     (below): O(slots) RNG work per class per round, whatever the
+//     class's trial count.
 //
-// Draw kernel: a XoshiroBlock derived from the chunk's scalar stream
-// resolves a class's draws in bulk -- one fill_below for the slot
-// indices, one fill_uniform for the thresholds, one
-// AliasTable::pick_block gather, then a scalar tally -- with singleton
-// rows (one slot, one target) resolved algebraically without touching
-// the RNG at all. The block fills and the gather dispatch between a
-// portable scalar loop and an AVX2 body at runtime (util/rng.hpp); both
-// produce bit-identical tallies, which tests/batch_sampler_test.cpp pins
-// end to end at every worker count.
+// Draw kernel (class splitting): a class of `count` trials on a row with
+// slots 0..m-1 and weights w takes its per-slot tally as one multinomial
+// built from conditional binomials -- slot i gets Binomial(remaining,
+// q_i), q_i = w_i / (w_i + ... + w_{m-1}), the last slot the remainder.
+// The q_i are precomputed from the exact rational weights when a row is
+// compiled (CompiledRow::split, ChoiceRow::split; util/alias.hpp's
+// conditional_splits) and frozen with it, and the binomials are the
+// exact in-tree sampler of util/rng.hpp. Singleton rows (one slot, one
+// target) are resolved algebraically without touching the RNG at all.
+// Every multi-slot class splits, however small: the per-trial alias
+// kernel this replaced spent one pick per trial (10^5-10^6 picks for one
+// class on a 2-slot MAC row), and keeping it for classes below F trials
+// per slot bought nothing measurable at any F tried (4-128) on the
+// ledger rows, where small classes dominate: F <= 32 stayed within
+// run-to-run noise of splitting every class, F = 64 and 128 ran slower,
+// and splitting every class beat F = 32 in 8 of 10 interleaved pairs
+// (EXPERIMENTS.md E21). Binomials draw from
+// the sampler's lane block (util/rng.hpp), whose refills dispatch
+// between a portable and an AVX2 body with bit-identical output, so
+// tallies are bit-identical under either ISA;
+// tests/batch_sampler_test.cpp pins that end to end at every worker
+// count.
 //
 // Equivalence contract: batched results equal serial results in
 // *distribution*, not draw-for-draw -- classes consume the RNG in
-// class-sorted order and alias picks spend two uniforms where a CDF scan
-// spends one. The statistical harness (tests/stat_util.hpp) pins the
-// equivalence with chi-square differential tests; the serial path
-// remains the reference (the kSerial default of
-// ParallelSampler::sample_fdist).
+// class-sorted order, one binomial per slot, where the serial walk
+// spends one CDF uniform per step. The statistical harness
+// (tests/stat_util.hpp) pins the equivalence with chi-square
+// differential tests; the serial path remains the reference (the
+// kSerial default of ParallelSampler::sample_fdist).
 //
 // Scheduler contract: rounds query choice rows through synthetic
 // fragments that carry the correct last state and length but dummy
@@ -52,9 +67,10 @@
 //
 // Determinism: one RNG stream (the lane block is derived from it by one
 // scalar draw, a pinned pure function), classes sorted by (state, node
-// id) each round, actions drawn in row order, targets in row order --
-// the whole schedule is a pure function of (seed, trials, max_depth),
-// so batched runs are reproducible even though they are not
+// id) each round, actions split in row order, targets in row order,
+// binomial variates drawn from that one stream in that class-sorted
+// order -- the whole schedule is a pure function of (seed, trials,
+// max_depth), so batched runs are reproducible even though they are not
 // draw-for-draw aligned with the serial walk. The incremental API below
 // preserves this: pausing and resuming at any round boundary replays the
 // identical schedule (run_rounds(a); run_rounds(b) == run_rounds(a + b),
@@ -74,7 +90,9 @@ namespace cdse {
 
 /// Counters of one batched run, for the E20/E21 benches and the tests:
 /// how much row-lookup amortization the class grouping bought, and how
-/// the block kernel spent (or elided) its RNG traffic.
+/// class splitting spent (or elided) its RNG traffic. action_draws and
+/// target_draws count trial-steps (one per trial per round), however
+/// few variates resolved them.
 struct BatchStats {
   std::size_t rounds = 0;        ///< lockstep rounds executed
   std::size_t classes_peak = 0;  ///< live trajectory classes, maximum
@@ -84,11 +102,13 @@ struct BatchStats {
   std::size_t action_draws = 0;    ///< logical action draws (incl. elided)
   std::size_t target_draws = 0;    ///< logical target draws (incl. elided)
   std::size_t distinct_executions = 0;  ///< terminal classes (f.apply calls)
-  // Block-kernel accounting:
-  std::size_t blocks_filled = 0;   ///< bulk fill operations issued
-  std::size_t block_draws = 0;     ///< RNG values produced by bulk fills
+  // RNG accounting:
+  std::size_t binomial_draws = 0;  ///< binomial variates (class splits)
+  std::size_t block_draws = 0;     ///< raw words drawn from the lane block
   std::size_t singleton_skips = 0; ///< logical draws elided (1-slot rows)
-  std::size_t rejection_redraws = 0;  ///< fill_below debias re-draws
+  /// Words past the first of each variate: BTRD's second uniforms and
+  /// rejected proposals, inversion's rounding-gap redraws.
+  std::size_t rejection_redraws = 0;
 
   BatchStats& operator+=(const BatchStats& o) {
     rounds += o.rounds;
@@ -100,7 +120,7 @@ struct BatchStats {
     action_draws += o.action_draws;
     target_draws += o.target_draws;
     distinct_executions += o.distinct_executions;
-    blocks_filled += o.blocks_filled;
+    binomial_draws += o.binomial_draws;
     block_draws += o.block_draws;
     singleton_skips += o.singleton_skips;
     rejection_redraws += o.rejection_redraws;
@@ -192,8 +212,9 @@ class BatchSampler {
   void one_round();
   void flush_survivors();
   void push_terminal(std::int32_t node, std::uint64_t count);
-  /// Tallies `count` draws from `alias` into tally[0..alias.size()).
-  void tally_draws(const AliasTable& alias, std::uint64_t count,
+  /// Tallies `count` draws from a row, given by its conditional split
+  /// probabilities, into tally[0..split.size()).
+  void tally_draws(const std::vector<double>& split, std::uint64_t count,
                    std::vector<std::uint64_t>& tally);
   ExecFragment fragment_of(std::int32_t leaf) const;
 
@@ -226,10 +247,6 @@ class BatchSampler {
   std::vector<std::size_t> order_;
   std::vector<std::uint64_t> act_tally_;
   std::vector<std::uint64_t> tgt_tally_;
-  // Block-fill scratch.
-  std::vector<std::uint32_t> idx_buf_;
-  std::vector<double> u_buf_;
-  std::vector<std::uint32_t> out_buf_;
 
   // Partial-tally accumulation state.
   Disc<Perception, double> counts_;

@@ -44,13 +44,16 @@ using ActionChoice = ExactDisc<ActionId>;
 /// The row also carries a Walker alias table, compiled (and frozen into
 /// FrozenChoiceTable, shared immutably across workers) together with the
 /// CDF: slots 0..actions-1 are the actions, and a non-exhaustive row has
-/// one extra halt slot carrying the exact residual mass. The batched
-/// sampling mode draws through sample_alias in O(1) -- equivalent to
-/// sample() in distribution, not draw-for-draw.
+/// one extra halt slot carrying the exact residual mass. sample_alias
+/// draws in O(1) -- equivalent to sample() in distribution, not
+/// draw-for-draw. The batched sampling mode draws a class's tally
+/// through `split`: the same slots' conditional split probabilities
+/// (util/alias.hpp), one binomial per slot.
 struct ChoiceRow {
   std::vector<ActionId> actions;
   std::vector<double> cdf;
   AliasTable alias;  ///< slots: actions, then one halt slot if !exhaustive
+  std::vector<double> split;  ///< conditional_splits over the alias slots
   bool exhaustive = false;  ///< exact total mass == 1 (no halt residual)
 
   bool empty() const { return actions.empty(); }
@@ -61,12 +64,15 @@ struct ChoiceRow {
     row.cdf.reserve(c.entries().size());
     std::vector<double> weights;
     weights.reserve(c.entries().size() + 1);
+    std::vector<Rational> exact;
+    exact.reserve(c.entries().size() + 1);
     double acc = 0.0;
     for (const auto& [a, w] : c.entries()) {
       acc += w.to_double();
       row.actions.push_back(a);
       row.cdf.push_back(acc);
       weights.push_back(w.to_double());
+      exact.push_back(w);
     }
     if (row.actions.empty()) return row;  // pure halt: no table needed
     // An overweight row (total > 1, caught elsewhere by the exact
@@ -74,8 +80,12 @@ struct ChoiceRow {
     // feeding a negative halt weight to the alias builder.
     const Rational residual = Rational(1) - c.total();
     row.exhaustive = residual <= Rational(0);
-    if (!row.exhaustive) weights.push_back(residual.to_double());
+    if (!row.exhaustive) {
+      weights.push_back(residual.to_double());
+      exact.push_back(residual);
+    }
     row.alias = AliasTable::build(weights);
+    row.split = conditional_splits(exact);
     return row;
   }
 

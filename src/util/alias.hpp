@@ -3,8 +3,10 @@
 //
 // The compiled sampling rows (CompiledRow transition CDFs, ChoiceRow
 // scheduler CDFs) historically drew by scanning a running double-CDF --
-// O(support) per draw, which is exactly the cost the batched sampler
-// (sched/batch_sampler.hpp) wants off its per-draw path. An alias table
+// O(support) per draw, which was the cost the batched sampler
+// (sched/batch_sampler.hpp) wanted off its per-draw path. (It has since
+// replaced per-trial draws by class splitting, which reads the rows'
+// conditional_splits below, not their alias tables.) An alias table
 // trades a second uniform draw for constant-time picks: slot i is chosen
 // uniformly, then accepted with probability accept[i] or redirected to
 // alias[i]. The induced slot probabilities equal the normalized input
@@ -21,8 +23,8 @@
 //   sum over slots of P[pick = i] == weights[i] / total.
 //
 // Layout is structure-of-arrays on purpose: accept[] and alias[] are
-// separate contiguous rows, so the batched sampler's block kernel
-// resolves a whole buffer of draws with pick_block -- gather accept
+// separate contiguous rows, so a block kernel resolves a whole buffer
+// of draws with pick_block -- gather accept
 // thresholds by slot index, compare against the uniform buffer, select
 // slot or alias -- instead of per-draw pointer-chasing. pick_block
 // shares the portable/AVX2 runtime dispatch of util/rng.hpp's block
@@ -32,6 +34,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <vector>
+
+#include "util/rational.hpp"
 
 namespace cdse {
 
@@ -57,9 +61,10 @@ struct AliasTable {
   }
 
   /// Block pick: out[k] = pick(idx[k], u[k]) for k in [0, n). The SoA
-  /// gather kernel behind the batched sampler's tally loops; dispatches
-  /// to an AVX2 body where resolved_block_isa() allows, with bitwise
-  /// identical results on every path. idx values must be < size().
+  /// gather kernel of the batched sampler's former per-trial path;
+  /// dispatches to an AVX2 body where resolved_block_isa() allows, with
+  /// bitwise identical results on every path. idx values must be
+  /// < size().
   void pick_block(const std::uint32_t* idx, const double* u,
                   std::uint32_t* out, std::size_t n) const;
 
@@ -67,5 +72,15 @@ struct AliasTable {
     return a.accept == b.accept && a.alias == b.alias;
   }
 };
+
+/// Conditional split probabilities of a row with exact weights w (the
+/// same slots, in the same order, as its alias table): q[i] = w[i] /
+/// (w[i] + ... + w[last]), so q.back() == 1. Drawing slot i's share of
+/// a class of `count` trials as Binomial(remaining, q[i]) in slot order
+/// is one multinomial draw of the whole class -- the batched sampler's
+/// class-splitting path. Each q[i] is the exact rational quotient
+/// rounded once (Rational::to_double); a row whose suffix sums overflow
+/// int64 falls back to double suffix sums.
+std::vector<double> conditional_splits(const std::vector<Rational>& w);
 
 }  // namespace cdse

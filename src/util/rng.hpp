@@ -1,6 +1,7 @@
 #pragma once
-// xoshiro256** PRNG with splitmix64 seeding, cheap stream splitting, and
-// a wide block generator for the vectorized sampling kernels.
+// xoshiro256** PRNG with splitmix64 seeding, cheap stream splitting, a
+// wide block generator for the vectorized sampling kernels, and an exact
+// binomial sampler for the batched sampler's class splitting.
 //
 // Execution sampling (sched/sampler.hpp) fans Monte-Carlo trials over a
 // thread pool; each worker needs an independent, reproducible stream. A
@@ -8,10 +9,12 @@
 // so every experiment in bench/ is bit-reproducible regardless of thread
 // count or interleaving.
 //
-// XoshiroBlock is the bulk producer behind the batched sampler's block
-// draw kernel (sched/batch_sampler.hpp): kLanes scalar streams advanced
-// in structure-of-arrays lockstep, filling whole buffers of raw words,
-// unit uniforms and debiased bounded indices per call. The lane
+// XoshiroBlock is the batched sampler's stream (sched/batch_sampler.hpp;
+// its class splitting draws binomial variates from it): kLanes scalar
+// streams advanced in structure-of-arrays lockstep, filling whole
+// buffers of raw words, unit uniforms and debiased bounded indices per
+// call (the bulk fills served the per-trial kernel class splitting
+// replaced and are no longer on the sampler's path). The lane
 // derivation is pinned -- lane j of XoshiroBlock(seed) IS the scalar
 // stream Xoshiro256::for_stream(seed, j), and outputs interleave
 // round-robin (output i comes from lane i % kLanes) -- so block output
@@ -29,6 +32,27 @@
 
 #include <cstddef>
 #include <cstdint>
+
+// Binomial contract (XoshiroBlock::binomial): Binomial(n, p) for n <
+// 2^53, by an in-tree sampler rather than std::binomial_distribution,
+// whose algorithm (and so its draw schedule) differs between standard
+// libraries. With p' = min(p, 1 - p) (a draw at p > 1/2 is n minus a
+// draw at 1 - p):
+//   - n p' < 10: sequential inversion -- one uniform, walking the pmf up
+//     from (1 - p')^n by the ratio recurrence; a uniform landing in the
+//     rounding gap past the summed pmf is discarded and redrawn.
+//   - otherwise: Hoermann's BTRD (transformed rejection with decomposition,
+//     1993) with its exact acceptance test (the Stirling tail log k! -
+//     Stirling(k) is tabulated for k < 16 and a four-term series beyond,
+//     truncation error < 1e-14); it spends 2.2 uniforms per variate at
+//     mean 12, falling to 1.4 at mean 37000.
+// p <= 0 returns 0 and p >= 1 returns n, spending no uniforms; n = 0
+// returns 0. Each variate consumes a whole number of 53-bit uniforms
+// ((v >> 11) * 2^-53) from the generator, so the schedule is a pure
+// function of the generator state and (n, p) -- the only arithmetic
+// outside exact IEEE operations is libm's exp/log/log1p, which a given
+// platform evaluates deterministically. tests/rng_test.cpp pins a
+// reference sequence and chi-square fits against the exact pmf.
 
 namespace cdse {
 
@@ -122,6 +146,14 @@ class XoshiroBlock {
   /// ISA). Returns the number of rejection re-draws consumed.
   std::size_t fill_below(std::uint32_t* out, std::size_t n,
                          std::uint32_t bound);
+
+  /// Exact Binomial(n, p) variate drawn from the interleaved sequence
+  /// (next_raw words mapped like fill_uniform); see the binomial
+  /// contract above. When `words` is given, the number of raw words the
+  /// variate consumed is added to it. The batched sampler's
+  /// class-splitting draw.
+  std::uint64_t binomial(std::uint64_t n, double p,
+                         std::size_t* words = nullptr);
 
  private:
   void refill();

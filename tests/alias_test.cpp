@@ -222,6 +222,7 @@ TEST(AliasFrozen, RebuildAcrossFreezesIsBitIdentical) {
       const CompiledRow* other = snap2->find_row(q, a);
       ASSERT_NE(other, nullptr);
       EXPECT_TRUE(row.alias == other->alias);
+      EXPECT_EQ(row.split, other->split);
       EXPECT_EQ(row.targets, other->targets);
     }
   }
@@ -308,8 +309,13 @@ TEST(CdfClamp, ExhaustiveChoiceRowClampsInsteadOfHalting) {
   ASSERT_LT(row.cdf.back(), 1.0);  // the adversarial premise
   EXPECT_EQ(row.sample(std::nextafter(1.0, 0.0)), row.actions.back());
   EXPECT_EQ(row.sample(row.cdf.back()), row.actions.back());
-  // The alias view has no halt slot on an exhaustive row.
+  // The alias view has no halt slot on an exhaustive row, nor has the
+  // split view: ten equal weights split as 1/10, 1/9, ..., 1/2, 1.
   EXPECT_EQ(row.alias.size(), row.actions.size());
+  ASSERT_EQ(row.split.size(), row.actions.size());
+  for (std::size_t i = 0; i < row.split.size(); ++i) {
+    EXPECT_EQ(row.split[i], 1.0 / static_cast<double>(10 - i));
+  }
 }
 
 TEST(CdfClamp, SubProbabilityChoiceRowStillHalts) {
@@ -329,6 +335,35 @@ TEST(CdfClamp, SubProbabilityChoiceRowStillHalts) {
   EXPECT_NEAR(p[0], 0.25, 1e-12);
   EXPECT_NEAR(p[1], 0.25, 1e-12);
   EXPECT_NEAR(p[2], 0.5, 1e-12);  // halt slot
+  // So does the split view: 1/4 of all, 1/3 of the rest, then the halt.
+  EXPECT_EQ(row.split, (std::vector<double>{0.25, 1.0 / 3.0, 1.0}));
+}
+
+TEST(ConditionalSplits, AreExactSuffixQuotients) {
+  // q[i] = w[i] / (w[i] + ... + w[last]), each the exact rational
+  // quotient rounded once: 1/3, 1/5, 7/15 split as 1/3, (1/5)/(2/3) =
+  // 3/10, then 1.
+  const std::vector<double> q = conditional_splits(
+      {Rational(1, 3), Rational(1, 5), Rational(7, 15)});
+  EXPECT_EQ(q, (std::vector<double>{1.0 / 3.0, 0.3, 1.0}));
+  EXPECT_TRUE(conditional_splits({}).empty());
+  EXPECT_EQ(conditional_splits({Rational(2, 7)}), std::vector<double>{1.0});
+}
+
+TEST(ConditionalSplits, SuffixOverflowFallsBackToDoubles) {
+  // Three weights over distinct primes near 2^31: the suffix sum's
+  // denominator exceeds int64, so the exact quotients are out of reach
+  // and the splits come from double suffix sums instead of throwing.
+  const std::int64_t p1 = 2147483647, p2 = 2147483629, p3 = 2147483587;
+  const std::vector<Rational> w = {Rational(1, p1), Rational(1, p2),
+                                   Rational(1, p3)};
+  std::vector<double> q;
+  ASSERT_NO_THROW(q = conditional_splits(w));
+  ASSERT_EQ(q.size(), 3u);
+  const double d1 = 1.0 / p1, d2 = 1.0 / p2, d3 = 1.0 / p3;
+  EXPECT_NEAR(q[0], d1 / (d1 + d2 + d3), 1e-15);
+  EXPECT_NEAR(q[1], d2 / (d2 + d3), 1e-15);
+  EXPECT_EQ(q[2], 1.0);
 }
 
 TEST(CdfClamp, OverweightChoiceDegradesToExhaustive) {

@@ -35,6 +35,7 @@
 #include "protocols/environment.hpp"
 #include "protocols/ledger.hpp"
 #include "psioa/compose.hpp"
+#include "psioa/explicit_psioa.hpp"
 #include "psioa/hide.hpp"
 #include "psioa/random.hpp"
 #include "psioa/rename.hpp"
@@ -103,6 +104,38 @@ PsioaFactory faulty_channel_factory(const std::string& tag) {
     plan.duplicate = Rational(1, 8);
     plan.delay = Rational(1, 4);
     return make_faulty_channel(tag, plan);
+  };
+}
+
+/// A three-faced die with non-dyadic faces (1/3, 1/5, 7/15): every roll
+/// announces its face and returns to the start, so a depth-d run's trace
+/// records d/2 independent rolls. No row is a singleton except the
+/// announcements, and no weight is a power of two.
+PsioaFactory die_factory(const std::string& tag) {
+  return [tag]() -> PsioaPtr {
+    auto die = std::make_shared<ExplicitPsioa>("die_" + tag);
+    const ActionId roll = act("roll_" + tag);
+    const State idle = die->add_state("idle");
+    die->set_start(idle);
+    Signature s_idle;
+    s_idle.out = {roll};
+    die->set_signature(idle, s_idle);
+    StateDist faces;
+    const Rational weights[] = {Rational(1, 3), Rational(1, 5),
+                                Rational(7, 15)};
+    for (int i = 0; i < 3; ++i) {
+      const std::string face = "face" + std::to_string(i);
+      const State q = die->add_state(face);
+      const ActionId say = act(face + "_" + tag);
+      Signature sig;
+      sig.out = {say};
+      die->set_signature(q, sig);
+      die->add_step(q, say, idle);
+      faces.add(q, weights[i]);
+    }
+    die->add_transition(idle, roll, faces);
+    die->validate();
+    return die;
   };
 }
 
@@ -215,11 +248,38 @@ TEST(BatchSamplerUnit, BatchedFdistMatchesExactEnumerator) {
   EXPECT_TRUE(testing::fdist_matches_exact(exact, batched, 40000));
 }
 
+TEST(BatchSampler, SplitPathMatchesExactEnumeratorAcrossWorkers) {
+  // Classes of thousands of trials on the die's 3-slot row split by
+  // binomial draws at every round; the estimate must still fit the
+  // exact f-dist, whose weights (1/3, 1/5, 7/15 and their products) no
+  // dyadic rounding can mimic.
+  constexpr std::size_t kDieDepth = 6;
+  constexpr std::size_t kDieTrials = 60000;
+  TraceInsight f;
+  auto die = die_factory("bs_die")();
+  UniformScheduler exact_sched(kDieDepth);
+  const auto exact = exact_fdist(*die, exact_sched, f, kDieDepth);
+  ParallelSampler sampler(die_factory("bs_die"), uniform_factory(kDieDepth));
+  WarmupPlan plan;
+  plan.horizon = kDieDepth;
+  sampler.prepare(plan, kDieDepth);
+  for (const std::size_t workers : {1u, 2u, 4u}) {
+    ThreadPool pool(workers);
+    const auto batched = sampler.sample_fdist(
+        f, kDieTrials, 515 + workers, kDieDepth, pool, SamplingMode::kBatched);
+    EXPECT_TRUE(testing::fdist_matches_exact(exact, batched, kDieTrials))
+        << workers << " workers";
+    const BatchStats& bs = sampler.last_batch_stats();
+    EXPECT_GT(bs.binomial_draws, 0u) << workers << " workers";
+    EXPECT_EQ(bs.action_draws, kDieTrials * kDieDepth) << workers;
+  }
+}
+
 // ------------------------------------------------------------- vs serial
 
 TEST(BatchSampler, BatchedMatchesSerialAcrossZooAndWorkerCounts) {
   // Serial side: the clone-per-worker reference, every chunk on its own
-  // factory-built instance. Batched side: the block kernel over a frozen
+  // factory-built instance. Batched side: class splitting over a frozen
   // snapshot.
   TraceInsight f;
   for (const Stack& stack : stack_zoo()) {
@@ -281,8 +341,9 @@ void expect_bit_identical(const Disc<Perception, double>& a,
 
 TEST(BatchSampler, BlockKernelIsaPathsProduceBitIdenticalTallies) {
   // The acceptance gate for the runtime dispatch: forcing the scalar and
-  // the AVX2 block bodies must yield the same estimate to the last bit,
-  // at every worker count.
+  // the AVX2 block bodies (the lane-block refills every binomial variate
+  // draws from) must yield the same estimate to the last bit, at every
+  // worker count.
   set_block_isa(BlockIsa::kAvx2);
   const bool have_avx2 = resolved_block_isa() == BlockIsa::kAvx2;
   set_block_isa(BlockIsa::kAuto);
@@ -312,52 +373,75 @@ TEST(BatchSampler, BlockKernelIsaPathsProduceBitIdenticalTallies) {
       EXPECT_EQ(scalar_stats.rejection_redraws,
                 vector_stats.rejection_redraws);
       EXPECT_EQ(scalar_stats.singleton_skips, vector_stats.singleton_skips);
+      EXPECT_EQ(scalar_stats.binomial_draws, vector_stats.binomial_draws);
+      EXPECT_GT(scalar_stats.binomial_draws, 0u);
     }
   }
 }
 
 TEST(BatchSampler, BlockCountersAccountForRngTraffic) {
+  // Class splitting spends O(slots) variates per class per round, so the
+  // RNG traffic tracks the number of classes, not of trials: ten times
+  // the trials over the same MAC snapshot must leave the variate and word
+  // counts nearly flat while the logical draws grow tenfold.
   TraceInsight f;
   ParallelSampler sampler(mac_factory("bs_ctr"), uniform_factory(kDepth));
   WarmupPlan plan;
   plan.horizon = kDepth;
   sampler.prepare(plan, kDepth);
   ThreadPool pool(2);
-  (void)sampler.sample_fdist(f, kTrials, 808, kDepth, pool,
-                             SamplingMode::kBatched);
-  const BatchStats block = sampler.last_batch_stats();
-  EXPECT_GE(block.action_draws, kTrials);
-  // The block kernel must have elided singleton rows (the MAC stack's
-  // transitions are mostly deterministic) and bulk-filled the rest.
-  EXPECT_GT(block.singleton_skips, 0u);
-  EXPECT_GT(block.blocks_filled, 0u);
-  EXPECT_GT(block.block_draws, 0u);
-  EXPECT_LT(block.block_draws,
-            2 * (block.action_draws + block.target_draws));
+  BatchStats runs[2];
+  for (int i = 0; i < 2; ++i) {
+    const std::size_t trials = i == 0 ? kTrials : 10 * kTrials;
+    (void)sampler.sample_fdist(f, trials, 808, kDepth, pool,
+                               SamplingMode::kBatched);
+    const BatchStats& bs = sampler.last_batch_stats();
+    EXPECT_GE(bs.action_draws, trials);
+    // Singleton rows (the MAC stack's transitions are mostly
+    // deterministic) are elided; every other class split by binomials,
+    // each variate spending at least one word of the lane block and
+    // rejection_redraws the words past the first.
+    EXPECT_GT(bs.singleton_skips, 0u);
+    EXPECT_GT(bs.binomial_draws, 0u);
+    EXPECT_GE(bs.block_draws, bs.binomial_draws);
+    EXPECT_EQ(bs.rejection_redraws, bs.block_draws - bs.binomial_draws);
+    EXPECT_LT(bs.block_draws, (bs.action_draws + bs.target_draws) / 10);
+    runs[i] = bs;
+  }
+  EXPECT_GE(runs[1].action_draws, 9 * runs[0].action_draws);
+  EXPECT_LT(runs[1].binomial_draws, 2 * runs[0].binomial_draws);
+  EXPECT_LT(runs[1].block_draws, 2 * runs[0].block_draws);
 }
 
 // ------------------------------------------------------ incremental rounds
 
 TEST(BatchSamplerUnit, RunRoundsResumeIsBitIdentical) {
   // run_rounds(a); run_rounds(b) must replay the exact schedule of
-  // run_rounds(a + b): same fragments, same stats, same RNG state.
+  // run_rounds(a + b): same fragments, same stats, same RNG state. The
+  // coin's 2-slot toss row splits by binomial draws, on BTRD's side of
+  // the binomial sampler at 5000 trials and on inversion's at 20.
   auto coin = make_coin("bs_inc", Rational(1, 3));
-  UniformScheduler s1(kDepth);
-  UniformScheduler s2(kDepth);
-  const Xoshiro256 rng(55);
-  BatchSampler split(*coin, s1, 5000, rng, kDepth);
-  BatchSampler whole(*coin, s2, 5000, rng, kDepth);
-  std::size_t ran = 0;
-  while (!split.done()) ran += split.run_rounds(2);
-  whole.run_to_completion();
-  EXPECT_EQ(ran, whole.rounds_done());
-  EXPECT_EQ(split.trials_terminal(), whole.trials_terminal());
-  EXPECT_EQ(split.trials_terminal(), 5000u);
-  EXPECT_EQ(split.fragments(), whole.fragments());
-  EXPECT_EQ(split.stats().action_draws, whole.stats().action_draws);
-  EXPECT_EQ(split.stats().target_draws, whole.stats().target_draws);
-  EXPECT_EQ(split.stats().distinct_executions,
-            whole.stats().distinct_executions);
+  for (const std::size_t trials : {5000u, 20u}) {
+    UniformScheduler s1(kDepth);
+    UniformScheduler s2(kDepth);
+    const Xoshiro256 rng(55);
+    BatchSampler split(*coin, s1, trials, rng, kDepth);
+    BatchSampler whole(*coin, s2, trials, rng, kDepth);
+    std::size_t ran = 0;
+    while (!split.done()) ran += split.run_rounds(2);
+    whole.run_to_completion();
+    EXPECT_EQ(ran, whole.rounds_done());
+    EXPECT_EQ(split.trials_terminal(), whole.trials_terminal());
+    EXPECT_EQ(split.trials_terminal(), trials);
+    EXPECT_EQ(split.fragments(), whole.fragments());
+    EXPECT_EQ(split.stats().action_draws, whole.stats().action_draws);
+    EXPECT_EQ(split.stats().target_draws, whole.stats().target_draws);
+    EXPECT_EQ(split.stats().distinct_executions,
+              whole.stats().distinct_executions);
+    EXPECT_EQ(split.stats().block_draws, whole.stats().block_draws);
+    EXPECT_EQ(split.stats().binomial_draws, whole.stats().binomial_draws);
+    EXPECT_GT(whole.stats().binomial_draws, 0u);
+  }
 }
 
 TEST(BatchSamplerUnit, AccumulateCountsIsMonotoneAcrossWaves) {
@@ -382,6 +466,47 @@ TEST(BatchSamplerUnit, AccumulateCountsIsMonotoneAcrossWaves) {
   double total = 0.0;
   for (const auto& [perc, count] : prev) total += count;
   EXPECT_DOUBLE_EQ(total, 5000.0);
+}
+
+TEST(BatchSamplerUnit, LedgerTalliesMatchPerEntryAddLoop) {
+  // accumulate_counts merges each wave's fresh tallies in one sorted
+  // pass; the result must equal, bit for bit, a plain Disc::add per
+  // execution -- over the ledger stack's thousands of distinct traces,
+  // and over the hidden+renamed stack, where hiding maps distinct
+  // executions to one trace, so a wave's batch repeats keys. Both are
+  // fed in waves with delta tracking on, so the merge also meets keys
+  // already in the tally and the delta drain.
+  TraceInsight f;
+  const Stack stacks[] = {{"ledger", ledger_factory("bs_sort")},
+                          {"hidden_renamed", hidden_renamed_factory(7, "bs_s")}};
+  for (const Stack& stack : stacks) {
+    auto automaton = stack.make();
+    UniformScheduler sched(8);
+    BatchSampler bs(*automaton, sched, kTrials, Xoshiro256(77), 8);
+    bs.track_deltas(true);
+    Disc<Perception, double> drained;
+    std::size_t fresh_keys = 0;  // distinct perceptions per wave, summed
+    while (!bs.done()) {
+      bs.run_rounds(1);
+      (void)bs.accumulate_counts(f);
+      const Disc<Perception, double> delta = bs.drain_count_delta();
+      for (const auto& [perc, count] : delta.entries()) drained.add(perc, count);
+      fresh_keys += delta.support_size();
+    }
+    const Disc<Perception, double>& counts = bs.accumulate_counts(f);
+    Disc<Perception, double> reference;
+    for (const ExecFragment& alpha : bs.fragments()) {
+      reference.add(f.apply(*automaton, alpha), 1.0);
+    }
+    EXPECT_EQ(counts, reference) << stack.label;
+    EXPECT_EQ(drained, reference) << stack.label;
+    if (std::string(stack.label) == "ledger") {
+      EXPECT_GT(counts.support_size(), 100u);
+    } else {
+      // Some wave's batch really did carry one trace more than once.
+      EXPECT_LT(fresh_keys, bs.stats().distinct_executions) << stack.label;
+    }
+  }
 }
 
 TEST(BatchSampler, IncrementalRunToCompletionEqualsOneShot) {
@@ -463,7 +588,7 @@ TEST(BatchSampler, IncrementalEarlyStopReturnsNormalizedPartial) {
 }
 
 TEST(BatchSampler, IncrementalMatchesSerialStatistically) {
-  // The chi-square gate through the incremental path: waved block-kernel
+  // The chi-square gate through the incremental path: waved batched
   // estimates remain statistically indistinguishable from the serial
   // reference.
   TraceInsight f;

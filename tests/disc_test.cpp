@@ -34,6 +34,30 @@ TEST(Disc, ExactCancellationRemovesPoint) {
   EXPECT_TRUE(d.empty());
 }
 
+TEST(Disc, AddSortedEqualsPerEntryAdd) {
+  // The batch merge must give the same canonical measure as one add()
+  // per pair: repeated keys, keys already present, and exact
+  // cancellation to zero (which must drop the point).
+  ExactDisc<int> batched;
+  ExactDisc<int> looped;
+  for (const int k : {2, 5, 9}) {
+    batched.add(k, Rational(k, 10));
+    looped.add(k, Rational(k, 10));
+  }
+  const std::vector<std::pair<int, Rational>> batch = {
+      {1, Rational(1, 3)},  {1, Rational(1, 6)}, {5, Rational(-1, 2)},
+      {7, Rational(1, 7)},  {9, Rational(1, 9)}, {12, Rational(1, 2)},
+      {12, Rational(-1, 2)}};
+  for (const auto& [k, w] : batch) looped.add(k, w);
+  batched.add_sorted(batch);
+  EXPECT_EQ(batched, looped);
+  EXPECT_EQ(batched.mass(1), Rational(1, 2));
+  EXPECT_EQ(batched.mass(5), Rational(0));
+  EXPECT_EQ(batched.support(), (std::vector<int>{1, 2, 7, 9}));
+  batched.add_sorted({});
+  EXPECT_EQ(batched, looped);
+}
+
 TEST(Disc, SupportIsSorted) {
   Disc<int> d;
   d.add(5, 0.2);

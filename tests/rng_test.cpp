@@ -3,13 +3,16 @@
 // rejection), and the XoshiroBlock contracts the batched sampler's block
 // kernel is built on -- lane j IS scalar stream j, round-robin
 // interleave, fill-granularity independence, deterministic rejection
-// schedule, and bit-identical scalar/AVX2 dispatch paths.
+// schedule, and bit-identical scalar/AVX2 dispatch paths -- plus the
+// exact binomial sampler behind the batched sampler's class splitting
+// (goodness of fit against the exact pmf, edge cases, pinned schedule).
 
 #include "util/rng.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <stdexcept>
 #include <vector>
@@ -262,6 +265,131 @@ TEST(XoshiroBlock, ForStreamSplitsLikeTheScalarGenerator) {
     any_diff = any_diff || (va != b.next_raw());
   }
   EXPECT_TRUE(any_diff);
+}
+
+// ---------------------------------------------------------------- binomial
+
+/// Exact Binomial(n, p) pmf at k, through lgamma (ample precision for
+/// expected cell counts).
+double binomial_pmf(std::uint64_t n, double p, std::uint64_t k) {
+  const double nd = static_cast<double>(n);
+  const double kd = static_cast<double>(k);
+  return std::exp(std::lgamma(nd + 1.0) - std::lgamma(kd + 1.0) -
+                  std::lgamma(nd - kd + 1.0) + kd * std::log(p) +
+                  (nd - kd) * std::log1p(-p));
+}
+
+/// Chi-square fit of `draws` Binomial(n, p) variates from `gen` against
+/// the exact pmf. Values are binned left to right into cells of mass at
+/// least 1/64, a value of that mass or more always opening its own cell
+/// (the first cell also takes everything below the +-12 sd window, the
+/// last everything above it), so every (n, p) gets a test of comparable
+/// power.
+::testing::AssertionResult binomial_fits(XoshiroBlock& gen, std::uint64_t n,
+                                         double p, std::size_t draws) {
+  const double mean = static_cast<double>(n) * p;
+  const double sd = std::sqrt(mean * (1.0 - p));
+  const double lo_d = std::max(0.0, std::floor(mean - 12.0 * sd - 2.0));
+  const double hi_d =
+      std::min(static_cast<double>(n), std::ceil(mean + 12.0 * sd + 2.0));
+  const auto lo = static_cast<std::uint64_t>(lo_d);
+  const auto hi = static_cast<std::uint64_t>(hi_d);
+  std::vector<std::uint64_t> upper;  // cell c covers k <= upper[c]
+  std::vector<double> mass;
+  double acc = 0.0;
+  for (std::uint64_t k = lo; k <= hi; ++k) {
+    const double pk = binomial_pmf(n, p, k);
+    if (acc > 0.0 && pk >= 1.0 / 64.0) {
+      // A heavy value gets its own cell, not the light run before it.
+      upper.push_back(k - 1);
+      mass.push_back(acc);
+      acc = 0.0;
+    }
+    acc += pk;
+    if (acc >= 1.0 / 64.0 || k == hi) {
+      upper.push_back(k);
+      mass.push_back(acc);
+      acc = 0.0;
+    }
+  }
+  upper.back() = n;  // the last cell takes the upper tail
+  std::vector<double> counts(upper.size(), 0.0);
+  for (std::size_t i = 0; i < draws; ++i) {
+    const std::uint64_t k = gen.binomial(n, p);
+    if (k > n) {
+      return ::testing::AssertionFailure() << "draw " << k << " > n = " << n;
+    }
+    const auto it = std::lower_bound(upper.begin(), upper.end(), k);
+    ++counts[static_cast<std::size_t>(it - upper.begin())];
+  }
+  std::vector<std::pair<double, double>> cells;
+  for (std::size_t c = 0; c < counts.size(); ++c) {
+    cells.emplace_back(mass[c], counts[c]);
+  }
+  const auto r = chi_square_gof_counts(cells, static_cast<double>(draws), 0.0);
+  if (r.pvalue >= kStatAlpha && r.cells > 1) {
+    return ::testing::AssertionSuccess();
+  }
+  return ::testing::AssertionFailure()
+         << "Binomial(" << n << ", " << p << "): stat=" << r.stat
+         << " dof=" << r.dof << " p=" << r.pvalue << " cells=" << r.cells;
+}
+
+TEST(XoshiroBinomial, FitsExactPmfChiSquare) {
+  // Small n and means below 10 take the inversion path; n = 1000 at 1/3
+  // and 1/2 and n = 2^22 take BTRD; 1 - 2^-10 goes through the symmetry.
+  constexpr std::size_t kDraws = 20000;
+  const std::uint64_t ns[] = {1, 7, 1000, std::uint64_t{1} << 22};
+  const double ps[] = {0x1.0p-10, 1.0 / 3.0, 0.5, 1.0 - 0x1.0p-10};
+  std::uint64_t seed = 101;
+  for (const std::uint64_t n : ns) {
+    for (const double p : ps) {
+      XoshiroBlock block(seed++);
+      EXPECT_TRUE(binomial_fits(block, n, p, kDraws));
+    }
+  }
+}
+
+TEST(XoshiroBinomial, EdgeCasesAreExactAndSpendNoUniforms) {
+  XoshiroBlock b(9);
+  std::size_t words = 0;
+  for (const std::uint64_t n : {0ULL, 1ULL, 1000ULL, 1ULL << 40}) {
+    EXPECT_EQ(b.binomial(n, 0.0, &words), 0u);
+    EXPECT_EQ(b.binomial(n, 1.0, &words), n);
+  }
+  EXPECT_EQ(b.binomial(0, 0.5, &words), 0u);
+  // None of the calls above touched the stream.
+  EXPECT_EQ(words, 0u);
+  XoshiroBlock b0(9);
+  EXPECT_EQ(b.next_raw(), b0.next_raw());
+}
+
+TEST(XoshiroBinomial, MatchesPinnedReferenceSequence) {
+  // The draw schedule is part of the batched sampler's determinism
+  // contract: these values may only change together with a documented
+  // change of the algorithm. Cases cover inversion (small mean), BTRD,
+  // and the p > 1/2 symmetry.
+  struct Case {
+    std::uint64_t n;
+    double p;
+  };
+  const Case cases[] = {{7, 1.0 / 3.0},
+                        {1000, 0x1.0p-10},
+                        {1000, 1.0 / 3.0},
+                        {std::uint64_t{1} << 22, 0.5},
+                        {std::uint64_t{1} << 22, 1.0 - 0x1.0p-10},
+                        {1000000, 0.2},
+                        {50, 0.9},
+                        {12, 0.5}};
+  const std::uint64_t want[] = {0,       0,      334, 2097251,
+                                4190205, 199688, 45,  9};
+  XoshiroBlock b(2022);
+  std::size_t words = 0;
+  for (std::size_t i = 0; i < std::size(cases); ++i) {
+    EXPECT_EQ(b.binomial(cases[i].n, cases[i].p, &words), want[i]) << i;
+  }
+  EXPECT_EQ(words, 8u);  // every variate here settles on its first uniform
+  EXPECT_EQ(b.next_raw(), 9752194654960886847ULL);
 }
 
 }  // namespace
