@@ -25,15 +25,6 @@
 #                               # non-zero on a build failure or a wrong
 #                               # epsilon (the CI bench-smoke job runs
 #                               # exactly this)
-#   scripts/check.sh --portable # portable-baseline build with
-#                               # -DCDSE_NATIVE_ARCH=OFF; runs the RNG /
-#                               # alias / batch-sampler suites with the
-#                               # block kernels forced to the scalar ISA
-#                               # path (CDSE_BLOCK_ISA=scalar), proving
-#                               # the dispatch fallback alone passes the
-#                               # bit-identity and chi-square gates (the
-#                               # CI portable-baseline job runs exactly
-#                               # this)
 #
 # The sanitized passes skip the experiment-labelled ctest entries: the
 # harnesses re-run under the plain pass already, and sanitizer slowdown
@@ -65,37 +56,19 @@ if [[ "${1:-}" == "--tsan" ]]; then
   # the exact cone-measure engine (ParallelConeEngine subtree fan-out,
   # parallel distinguisher search, parallel sweep grids), and the
   # quotient reduction (shared minimized snapshots behind per-worker
-  # QuotientPsioa views in all of the above), the batched alias
-  # sampler (frozen alias tables read lock-free by lockstep workers),
-  # and the sequential estimator (incremental waves + stratified
+  # QuotientPsioa views in all of the above), the batched sampler
+  # (frozen rows read lock-free by lockstep workers), and the
+  # sequential estimator (incremental waves + stratified
   # per-stratum cursors fanned out over the pool).
   echo "== tsan: ThreadSanitizer build + concurrency suites =="
   cmake -B build-tsan -S . -DCDSE_SANITIZE="thread" >/dev/null
   cmake --build build-tsan -j "$JOBS" \
     --target snapshot_test thread_pool_test intern_test intern_gc_test \
              service_soak_test exact_engine_test quotient_test \
-             alias_test batch_sampler_test seq_estimator_test
+             splits_test batch_sampler_test seq_estimator_test
   ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-    -R 'Snapshot|ThreadPool|FrozenChoice|Parallel|Intern|ExactEngine|Quotient|ShardedInternGc|DynamicPcaGc|MacSessionSvc|SoakLatency|Soak|AliasFrozen|BatchSampler|SeqEst'
+    -R 'Snapshot|ThreadPool|FrozenChoice|Parallel|Intern|ExactEngine|Quotient|ShardedInternGc|DynamicPcaGc|MacSessionSvc|SoakLatency|Soak|FrozenRows|BatchSampler|SeqEst'
   echo "== tsan pass clean =="
-  exit 0
-fi
-
-if [[ "${1:-}" == "--portable" ]]; then
-  # Portable baseline: no -march=native, and the runtime ISA dispatch in
-  # the block kernels pinned to the scalar path via CDSE_BLOCK_ISA. The
-  # RNG / alias / batch-sampler suites carry the bit-identity and
-  # chi-square gates, so a pass here certifies the portable fallback is
-  # exactly as correct as the vector path -- the lowest common
-  # denominator any deployment target gets.
-  echo "== portable: CDSE_NATIVE_ARCH=OFF build + scalar-ISA suites =="
-  cmake -B build-portable -S . -DCDSE_NATIVE_ARCH=OFF >/dev/null
-  cmake --build build-portable -j "$JOBS" \
-    --target rng_test alias_test batch_sampler_test
-  CDSE_BLOCK_ISA=scalar ctest --test-dir build-portable \
-    --output-on-failure -j "$JOBS" \
-    -R 'Xoshiro|XoshiroBlock|AliasDraws|AliasFrozen|BatchSampler'
-  echo "== portable pass clean =="
   exit 0
 fi
 
@@ -113,7 +86,7 @@ if [[ "${1:-}" == "--bench-smoke" ]]; then
     --benchmark_min_time=0.05 --benchmark_out=BENCH_engine.json \
     --benchmark_out_format=json)
   test -s build-bench/BENCH_engine.json
-  # The E20 batched-alias rows must land in the artifact next to their
+  # The batched rows must land in the artifact next to their
   # serial counterparts (the before/after pair EXPERIMENTS.md tabulates).
   grep -q BM_BlockBatchedFdist build-bench/BENCH_engine.json
   grep -q BM_SnapshotParallelFdist build-bench/BENCH_engine.json

@@ -1,6 +1,29 @@
 #include "psioa/memo.hpp"
 
+#include "util/splits.hpp"
+
 namespace cdse {
+
+CompiledRow CompiledRow::compile(StateDist d,
+                                 std::span<const std::size_t> order) {
+  const auto& entries = d.entries();
+  CompiledRow row;
+  row.targets.reserve(entries.size());
+  row.cdf.reserve(entries.size());
+  std::vector<Rational> exact;
+  exact.reserve(entries.size());
+  double acc = 0.0;
+  for (std::size_t k = 0; k < entries.size(); ++k) {
+    const auto& [q, w] = entries[order.empty() ? k : order[k]];
+    acc += w.to_double();
+    row.targets.push_back(q);
+    row.cdf.push_back(acc);
+    exact.push_back(w);
+  }
+  row.split = conditional_splits(exact);
+  row.dist = std::move(d);
+  return row;
+}
 
 Signature MemoPsioa::signature(State q) { return signature_ref(q); }
 

@@ -10,11 +10,12 @@
 // MemoPsioa separates the exact semantic layer from the evaluation
 // layer: subclasses implement compute_signature / compute_transition
 // once, and the base caches per reachable state the resolved Signature
-// and per (state, action) a CompiledRow holding both the exact
-// StateDist and a compiled double-CDF over its support, so the sampling
-// fast-path never touches Rational arithmetic or re-runs composition
-// products. signature() / transition() return the cached *exact*
-// objects, which keeps the exact cone enumerator byte-identical:
+// and per (state, action) a CompiledRow holding the exact StateDist
+// and its two compiled draw views (a double CDF for the serial sampler,
+// conditional splits for the batched one), so the sampling fast-paths
+// never touch Rational arithmetic or re-run composition products.
+// signature() / transition() return the cached *exact* objects, which
+// keeps the exact cone enumerator byte-identical:
 // memoization is semantics-neutral by construction, and the property
 // suite in tests/memo_test.cpp asserts memoized == direct on random
 // PSIOA and on composed/hidden/renamed/structured stacks.
@@ -36,57 +37,37 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
 #include "psioa/psioa.hpp"
-#include "util/alias.hpp"
 
 namespace cdse {
 
 class CompiledSnapshot;
 
 /// Compiled sampling row for one (state, action): the exact transition
-/// distribution plus a running double-CDF over its support, built once.
-/// sample() walks the CDF exactly the way the sampler historically
-/// walked to_double() partial sums, so the refactor is draw-for-draw
-/// reproducible at fixed seed. The row also carries a Walker alias
-/// table over the same support, built at the same compile time and
-/// frozen (immutably shared across workers) together with the CDF:
-/// sample_alias draws a target in O(1), equivalent to sample() in
-/// distribution but not draw-for-draw (the two consume the RNG
-/// differently). `split` holds the same support's conditional split
-/// probabilities (util/alias.hpp), from which the batched sampler draws
-/// a class's per-target tally as one multinomial.
+/// distribution plus two draw views of its support, built once and
+/// frozen (shared immutably across workers) together. `cdf` is a running
+/// double-CDF that sample() walks exactly the way the serial sampler
+/// historically walked to_double() partial sums, so serial draws are
+/// reproducible at fixed seed. `split` holds the same targets'
+/// conditional split probabilities (util/splits.hpp), from which the
+/// batched sampler draws a class's per-target tally as one multinomial.
 struct CompiledRow {
   StateDist dist;             ///< exact eta_{(A,q,a)}, canonical form
-  std::vector<State> targets; ///< dist support, in entry order
+  std::vector<State> targets; ///< dist support, in compile order
   std::vector<double> cdf;    ///< running sums of dist weights as doubles
-  AliasTable alias;           ///< O(1) draw table over the same support
   std::vector<double> split;  ///< conditional_splits of the exact weights
 
-  static CompiledRow compile(StateDist d) {
-    CompiledRow row;
-    row.targets.reserve(d.entries().size());
-    row.cdf.reserve(d.entries().size());
-    std::vector<double> weights;
-    weights.reserve(d.entries().size());
-    std::vector<Rational> exact;
-    exact.reserve(d.entries().size());
-    double acc = 0.0;
-    for (const auto& [q2, w] : d.entries()) {
-      const double wd = w.to_double();
-      acc += wd;
-      row.targets.push_back(q2);
-      row.cdf.push_back(acc);
-      weights.push_back(wd);
-      exact.push_back(w);
-    }
-    row.alias = AliasTable::build(weights);
-    row.split = conditional_splits(exact);
-    row.dist = std::move(d);
-    return row;
-  }
+  /// Compiles d with its targets in entry order.
+  static CompiledRow compile(StateDist d) { return compile(std::move(d), {}); }
+
+  /// Compiles d with target k taken from entry order[k], `order` being a
+  /// permutation of the entry indices (empty: entry order). Throws
+  /// std::invalid_argument on a negative weight (conditional_splits).
+  static CompiledRow compile(StateDist d, std::span<const std::size_t> order);
 
   /// Draws a target given u ~ Uniform[0,1); the final target absorbs
   /// any floating-point round-off shortfall at u ~ 1 (the CDF of an
@@ -97,11 +78,6 @@ struct CompiledRow {
       if (u < cdf[i]) return targets[i];
     }
     return targets.back();
-  }
-
-  /// O(1) draw from (i, u) with i ~ Uniform{0..support-1}, u ~ U[0,1).
-  State sample_alias(std::size_t i, double u) const {
-    return targets[alias.pick(i, u)];
   }
 };
 

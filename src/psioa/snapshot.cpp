@@ -168,26 +168,7 @@ CompiledRow compile_row_by_encoding(StateDist d, Psioa& encoder) {
                    [&](std::size_t i, std::size_t j) {
                      return encoding_less(enc[i], enc[j]);
                    });
-  CompiledRow row;
-  row.targets.reserve(entries.size());
-  row.cdf.reserve(entries.size());
-  std::vector<double> weights;
-  weights.reserve(entries.size());
-  std::vector<Rational> exact;
-  exact.reserve(entries.size());
-  double acc = 0.0;
-  for (std::size_t i : order) {
-    const double w = entries[i].second.to_double();
-    acc += w;
-    row.targets.push_back(entries[i].first);
-    row.cdf.push_back(acc);
-    weights.push_back(w);
-    exact.push_back(entries[i].second);
-  }
-  row.alias = AliasTable::build(weights);
-  row.split = conditional_splits(exact);
-  row.dist = std::move(d);
-  return row;
+  return CompiledRow::compile(std::move(d), order);
 }
 
 SnapshotPsioa::SnapshotPsioa(std::shared_ptr<const CompiledSnapshot> snapshot,

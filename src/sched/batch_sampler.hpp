@@ -32,23 +32,16 @@
 // built from conditional binomials -- slot i gets Binomial(remaining,
 // q_i), q_i = w_i / (w_i + ... + w_{m-1}), the last slot the remainder.
 // The q_i are precomputed from the exact rational weights when a row is
-// compiled (CompiledRow::split, ChoiceRow::split; util/alias.hpp's
+// compiled (CompiledRow::split, ChoiceRow::split; util/splits.hpp's
 // conditional_splits) and frozen with it, and the binomials are the
-// exact in-tree sampler of util/rng.hpp. Singleton rows (one slot, one
-// target) are resolved algebraically without touching the RNG at all.
-// Every multi-slot class splits, however small: the per-trial alias
-// kernel this replaced spent one pick per trial (10^5-10^6 picks for one
-// class on a 2-slot MAC row), and keeping it for classes below F trials
-// per slot bought nothing measurable at any F tried (4-128) on the
-// ledger rows, where small classes dominate: F <= 32 stayed within
-// run-to-run noise of splitting every class, F = 64 and 128 ran slower,
-// and splitting every class beat F = 32 in 8 of 10 interleaved pairs
-// (EXPERIMENTS.md E21). Binomials draw from
-// the sampler's lane block (util/rng.hpp), whose refills dispatch
-// between a portable and an AVX2 body with bit-identical output, so
-// tallies are bit-identical under either ISA;
-// tests/batch_sampler_test.cpp pins that end to end at every worker
-// count.
+// exact in-tree sampler of util/rng.hpp, drawn from the sampler's lane
+// block (XoshiroBlock). Singleton rows (one slot, one target) are
+// resolved algebraically without touching the RNG at all. Every
+// multi-slot class splits, however small: the per-trial kernel this
+// replaced spent one pick per trial (10^5-10^6 picks for one class on a
+// 2-slot MAC row), and keeping it for classes below F trials per slot
+// bought nothing measurable at any F tried (4-128) on the ledger rows,
+// where small classes dominate (EXPERIMENTS.md E21).
 //
 // Equivalence contract: batched results equal serial results in
 // *distribution*, not draw-for-draw -- classes consume the RNG in

@@ -44,12 +44,12 @@ namespace cdse {
 /// Which stepping engine ParallelSampler::sample_fdist drives per chunk.
 ///   kSerial  -- one execution at a time, the historical draw-for-draw
 ///               reproducible reference path.
-///   kBatched -- lockstep trajectory-class batches over the rows' alias
-///               tables (sched/batch_sampler.hpp), stepping with the
-///               vectorized block draw kernel: bulk RNG fills, SoA alias
-///               gathers, singleton elision. Distribution-equivalent to
-///               kSerial at the same seed and trial count, but not
-///               draw-for-draw aligned; the chi-square harness
+///   kBatched -- lockstep trajectory-class batches over the rows'
+///               conditional splits (sched/batch_sampler.hpp): each
+///               class's successors are one multinomial of exact
+///               binomials, singleton rows need no draw. Distribution-
+///               equivalent to kSerial at the same seed and trial count,
+///               but not draw-for-draw aligned; the chi-square harness
 ///               (tests/stat_util.hpp) pins the equivalence. Requires
 ///               schedulers whose choice is a function of
 ///               (lstate, |alpha|).

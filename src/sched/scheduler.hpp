@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "psioa/execution.hpp"
-#include "util/alias.hpp"
 
 namespace cdse {
 
@@ -29,11 +28,11 @@ namespace cdse {
 /// total() < 1 means halting with the residual mass.
 using ActionChoice = ExactDisc<ActionId>;
 
-/// Compiled action choice for the sampling fast-path: a running double
-/// CDF over the chosen actions. cdf.back() < 1 leaves halting mass, and
-/// sample() walks partial sums exactly the way the sampler historically
-/// accumulated to_double() weights, so draws are reproducible across the
-/// exact and compiled representations.
+/// Compiled action choice for the sampling fast-paths. `cdf` is a
+/// running double CDF over the chosen actions: cdf.back() < 1 leaves
+/// halting mass, and sample() walks partial sums exactly the way the
+/// serial sampler historically accumulated to_double() weights, so draws
+/// are reproducible across the exact and compiled representations.
 ///
 /// `exhaustive` records whether the *exact* total mass was 1: a full
 /// choice whose double CDF rounds short (e.g. ten 1/10 weights
@@ -41,53 +40,25 @@ using ActionChoice = ExactDisc<ActionId>;
 /// rounding gap to the last action instead of falling through to a halt
 /// the exact semantics assigns probability zero.
 ///
-/// The row also carries a Walker alias table, compiled (and frozen into
+/// `split` is the batched sampler's view, compiled (and frozen into
 /// FrozenChoiceTable, shared immutably across workers) together with the
-/// CDF: slots 0..actions-1 are the actions, and a non-exhaustive row has
-/// one extra halt slot carrying the exact residual mass. sample_alias
-/// draws in O(1) -- equivalent to sample() in distribution, not
-/// draw-for-draw. The batched sampling mode draws a class's tally
-/// through `split`: the same slots' conditional split probabilities
-/// (util/alias.hpp), one binomial per slot.
+/// CDF: the conditional split probabilities (util/splits.hpp) over slots
+/// 0..actions-1, the actions, plus one halt slot carrying the exact
+/// residual mass when the row is not exhaustive. A class's tally is one
+/// binomial per slot.
 struct ChoiceRow {
   std::vector<ActionId> actions;
   std::vector<double> cdf;
-  AliasTable alias;  ///< slots: actions, then one halt slot if !exhaustive
-  std::vector<double> split;  ///< conditional_splits over the alias slots
+  std::vector<double> split;  ///< actions, then one halt slot if !exhaustive
   bool exhaustive = false;  ///< exact total mass == 1 (no halt residual)
 
   bool empty() const { return actions.empty(); }
 
-  static ChoiceRow compile(const ActionChoice& c) {
-    ChoiceRow row;
-    row.actions.reserve(c.entries().size());
-    row.cdf.reserve(c.entries().size());
-    std::vector<double> weights;
-    weights.reserve(c.entries().size() + 1);
-    std::vector<Rational> exact;
-    exact.reserve(c.entries().size() + 1);
-    double acc = 0.0;
-    for (const auto& [a, w] : c.entries()) {
-      acc += w.to_double();
-      row.actions.push_back(a);
-      row.cdf.push_back(acc);
-      weights.push_back(w.to_double());
-      exact.push_back(w);
-    }
-    if (row.actions.empty()) return row;  // pure halt: no table needed
-    // An overweight row (total > 1, caught elsewhere by the exact
-    // enumerator's validation) degrades to exhaustive rather than
-    // feeding a negative halt weight to the alias builder.
-    const Rational residual = Rational(1) - c.total();
-    row.exhaustive = residual <= Rational(0);
-    if (!row.exhaustive) {
-      weights.push_back(residual.to_double());
-      exact.push_back(residual);
-    }
-    row.alias = AliasTable::build(weights);
-    row.split = conditional_splits(exact);
-    return row;
-  }
+  /// Throws std::invalid_argument on a negative weight
+  /// (conditional_splits). An overweight choice (total > 1, rejected
+  /// elsewhere by the exact enumerator's validation) degrades to
+  /// exhaustive rather than carrying a negative halt slot.
+  static ChoiceRow compile(const ActionChoice& c);
 
   /// Draws an action given u ~ Uniform[0,1); kInvalidAction = halt on
   /// the residual mass. A u overshooting a rounding-short CDF of an
@@ -98,13 +69,6 @@ struct ChoiceRow {
     }
     if (exhaustive && !actions.empty()) return actions.back();
     return kInvalidAction;
-  }
-
-  /// O(1) draw from (i, u) with i ~ Uniform{0..alias.size()-1},
-  /// u ~ U[0,1); the halt slot (when present) maps to kInvalidAction.
-  ActionId sample_alias(std::size_t i, double u) const {
-    const std::size_t slot = alias.pick(i, u);
-    return slot < actions.size() ? actions[slot] : kInvalidAction;
   }
 };
 

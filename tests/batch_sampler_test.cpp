@@ -339,46 +339,6 @@ void expect_bit_identical(const Disc<Perception, double>& a,
   }
 }
 
-TEST(BatchSampler, BlockKernelIsaPathsProduceBitIdenticalTallies) {
-  // The acceptance gate for the runtime dispatch: forcing the scalar and
-  // the AVX2 block bodies (the lane-block refills every binomial variate
-  // draws from) must yield the same estimate to the last bit, at every
-  // worker count.
-  set_block_isa(BlockIsa::kAvx2);
-  const bool have_avx2 = resolved_block_isa() == BlockIsa::kAvx2;
-  set_block_isa(BlockIsa::kAuto);
-  if (!have_avx2) GTEST_SKIP() << "CPU lacks AVX2; single-path build";
-
-  TraceInsight f;
-  for (const Stack& stack : stack_zoo()) {
-    ParallelSampler sampler(stack.make, uniform_factory(kDepth));
-    WarmupPlan plan;
-    plan.horizon = kDepth;
-    sampler.prepare(plan, kDepth);
-    for (std::size_t workers : kWorkerCounts) {
-      ThreadPool pool(workers);
-      set_block_isa(BlockIsa::kScalar);
-      const auto scalar = sampler.sample_fdist(f, kTrials, 707, kDepth, pool,
-                                               SamplingMode::kBatched);
-      const BatchStats scalar_stats = sampler.last_batch_stats();
-      set_block_isa(BlockIsa::kAvx2);
-      const auto vector = sampler.sample_fdist(f, kTrials, 707, kDepth, pool,
-                                               SamplingMode::kBatched);
-      const BatchStats vector_stats = sampler.last_batch_stats();
-      set_block_isa(BlockIsa::kAuto);
-      expect_bit_identical(scalar, vector,
-                           std::string(stack.label) + " at " +
-                               std::to_string(workers) + " workers");
-      EXPECT_EQ(scalar_stats.block_draws, vector_stats.block_draws);
-      EXPECT_EQ(scalar_stats.rejection_redraws,
-                vector_stats.rejection_redraws);
-      EXPECT_EQ(scalar_stats.singleton_skips, vector_stats.singleton_skips);
-      EXPECT_EQ(scalar_stats.binomial_draws, vector_stats.binomial_draws);
-      EXPECT_GT(scalar_stats.binomial_draws, 0u);
-    }
-  }
-}
-
 TEST(BatchSampler, BlockCountersAccountForRngTraffic) {
   // Class splitting spends O(slots) variates per class per round, so the
   // RNG traffic tracks the number of classes, not of trials: ten times
