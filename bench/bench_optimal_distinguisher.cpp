@@ -127,10 +127,9 @@ struct AblationRow {
 };
 
 /// One E13c measurement: the fork-product stack enumerated raw or via
-/// the bisimulation quotient, serial or fanned over a pool.
+/// the bisimulation quotient.
 struct QuotientRow {
-  std::string mode;     // "unreduced" / "reduced"
-  std::size_t workers;  // 0 = serial
+  std::string mode;  // "unreduced" / "reduced"
   double seconds = 0.0;
   std::size_t frames_pushed = 0;
   std::size_t states = 0;  // snapshot states (reduced rows only)
@@ -176,11 +175,11 @@ void write_bench_exact_json(const std::vector<AblationRow>& rows,
     const QuotientRow& r = qrows[i];
     std::fprintf(
         o,
-        "    {\"mode\": \"%s\", \"workers\": %zu, \"seconds\": %.6f, "
+        "    {\"mode\": \"%s\", \"seconds\": %.6f, "
         "\"speedup_vs_unreduced\": %.2f, \"frames_pushed\": %zu, "
         "\"quotient_states\": %zu, \"quotient_blocks\": %zu, "
         "\"reduction_ratio\": %.2f}%s\n",
-        r.mode.c_str(), r.workers, r.seconds,
+        r.mode.c_str(), r.seconds,
         r.seconds > 0.0 ? unreduced_seconds / r.seconds : 0.0,
         r.frames_pushed, r.states, r.blocks,
         r.blocks > 0 ? static_cast<double>(r.states) /
@@ -321,7 +320,7 @@ int run_e13c(std::vector<QuotientRow>& out_rows) {
     ConeStats stats;
     bench::Timer t;
     want = exact_fdist(*sys, sched, f, depth, &stats);
-    rows.push_back({"unreduced", 0, t.seconds(), stats.frames_pushed, 0, 0});
+    rows.push_back({"unreduced", t.seconds(), stats.frames_pushed, 0, 0});
   }
   bool ok = true;
   {
@@ -338,30 +337,13 @@ int run_e13c(std::vector<QuotientRow>& out_rows) {
       const ExactDisc<Perception> got =
           exact_fdist(*red->view, sched, f, depth, &stats);
       ok = ok && got == want;
-      rows.push_back({"reduced", 0, t.seconds(), stats.frames_pushed,
+      rows.push_back({"reduced", t.seconds(), stats.frames_pushed,
                       red->states, red->blocks});
     }
   }
-  for (std::size_t workers : {2u, 4u}) {
-    ThreadPool pool(workers);
-    ParallelConeEngine engine(make_sys, [depth]() -> SchedulerPtr {
-      return std::make_shared<UniformScheduler>(depth);
-    }, ReductionPolicy::bisimulation());
-    WarmupPlan plan;
-    plan.episodes = 0;
-    plan.horizon = depth;
-    bench::Timer t;
-    engine.prepare(plan, depth);
-    const ExactDisc<Perception> got = engine.exact_fdist(f, depth, pool);
-    ok = ok && got == want && engine.reduced();
-    const ConeStats& s = engine.last_stats();
-    rows.push_back({"reduced", workers, t.seconds(), s.frames_pushed,
-                    s.quotient_states, s.quotient_blocks});
-  }
 
-  bench::print_row({"mode", "workers", "seconds", "frames", "states",
-                    "blocks", "reduction"},
-                   12);
+  bench::print_row(
+      {"mode", "seconds", "frames", "states", "blocks", "reduction"}, 12);
   for (const QuotientRow& r : rows) {
     char sec[32];
     std::snprintf(sec, sizeof sec, "%.4f", r.seconds);
@@ -370,8 +352,7 @@ int run_e13c(std::vector<QuotientRow>& out_rows) {
                   r.blocks > 0 ? static_cast<double>(r.states) /
                                      static_cast<double>(r.blocks)
                                : 1.0);
-    bench::print_row({r.mode, std::to_string(r.workers), sec,
-                      std::to_string(r.frames_pushed),
+    bench::print_row({r.mode, sec, std::to_string(r.frames_pushed),
                       std::to_string(r.states), std::to_string(r.blocks),
                       ratio},
                      12);

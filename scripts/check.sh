@@ -53,8 +53,8 @@ if [[ "${1:-}" == "--tsan" ]]; then
   # interning suites (ActionTable shared-lock fast path, rebuilt-stack
   # differential, sharded-interner concurrent interning + epoch GC), the
   # session service / soak driver (sharded session table over the pool),
-  # the exact cone-measure engine (ParallelConeEngine subtree fan-out,
-  # parallel distinguisher search, parallel sweep grids), and the
+  # the exact engine's coarse-grain fan-outs (parallel distinguisher
+  # search, implementation grid cells, family-sweep cells), and the
   # quotient reduction (shared minimized snapshots behind per-worker
   # QuotientPsioa views in all of the above), the batched sampler
   # (frozen rows read lock-free by lockstep workers), and the

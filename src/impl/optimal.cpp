@@ -11,6 +11,10 @@ namespace cdse {
 
 namespace {
 
+/// Phase-1 word subtrees per pool worker in search_best_word_parallel:
+/// enough slack that one deep subtree does not leave the others idle.
+constexpr std::size_t kSubtreesPerWorker = 4;
+
 /// Letter ranks taken from the alphabet vector: the extension loop tries
 /// letters in alphabet order, so the search pre-order coincides with
 /// lexicographic order under these ranks (a word precedes its
@@ -201,7 +205,7 @@ BestDistinguisher search_best_word_parallel(
     const PsioaFactory& make_lhs, const PsioaFactory& make_rhs,
     const std::vector<ActionId>& alphabet, std::size_t max_len,
     const InsightFunction& f, std::size_t depth, ThreadPool& pool,
-    std::size_t frontier_target, const ReductionPolicy& policy) {
+    const ReductionPolicy& policy) {
   // With an enabled policy, minimize each side up front: one covering
   // freeze + quotient, after which every view (phase 1 and per worker)
   // is a fresh QuotientPsioa over the shared minimized snapshot. A side
@@ -269,9 +273,7 @@ BestDistinguisher search_best_word_parallel(
   ConeFrontierCache cl(*lv, f, depth);
   ConeFrontierCache cr(*rv, f, depth);
   const std::size_t target =
-      frontier_target != 0
-          ? frontier_target
-          : 4 * std::max<std::size_t>(std::size_t{1}, pool.size());
+      kSubtreesPerWorker * std::max<std::size_t>(std::size_t{1}, pool.size());
   std::deque<std::vector<ActionId>> queue;
   queue.emplace_back();
   while (!queue.empty() && queue.size() < target) {

@@ -66,9 +66,9 @@ BestDistinguisher search_best_word_legacy(
 /// Parallel prefix-sharing search. Freezes one warmed instance per side
 /// (WarmupPlan horizon = depth, so workers hit lock-free compiled rows),
 /// expands the word tree breadth-first on the calling thread until at
-/// least `frontier_target` (default 4x pool size) independent subtrees
-/// exist, then fans the subtrees across the pool -- each worker running
-/// the serial prefix-sharing search over its own thin snapshot views.
+/// least 4x pool size independent subtrees exist, then fans the
+/// subtrees across the pool -- each worker running the serial
+/// prefix-sharing search over its own thin snapshot views.
 /// Per-task results merge in fixed task order under the deterministic
 /// tie-break, so word, epsilon and words_evaluated are identical to the
 /// serial engines at every worker count. With an enabled `policy` a
@@ -79,6 +79,6 @@ BestDistinguisher search_best_word_parallel(
     const PsioaFactory& make_lhs, const PsioaFactory& make_rhs,
     const std::vector<ActionId>& alphabet, std::size_t max_len,
     const InsightFunction& f, std::size_t depth, ThreadPool& pool,
-    std::size_t frontier_target = 0, const ReductionPolicy& policy = {});
+    const ReductionPolicy& policy = {});
 
 }  // namespace cdse

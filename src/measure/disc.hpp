@@ -241,13 +241,6 @@ W balance_distance(const Disc<T, W>& mu, const Disc<T, W>& nu) {
   return pos < neg ? neg : pos;
 }
 
-/// Total-variation distance (coincides with balance_distance on
-/// probability measures; kept as a named operation for readability).
-template <typename T, typename W>
-W tv_distance(const Disc<T, W>& mu, const Disc<T, W>& nu) {
-  return balance_distance(mu, nu);
-}
-
 /// Lossy conversion used when comparing exact results to sampled ones.
 template <typename T>
 Disc<T, double> to_double(const ExactDisc<T>& d) {

@@ -36,7 +36,6 @@ const CompiledRow* CompiledSnapshot::find_row(State q, ActionId a) const {
 QuotientSnapshot CompiledSnapshot::quotient(
     const SnapshotPartition& partition) const {
   QuotientSnapshot out;
-  out.original_states = states_.size();
   out.blocks = partition.blocks;
 
   // Representative per block: the smallest member handle. Bisimulation

@@ -118,7 +118,6 @@ class QuotientSnapshot {
   std::shared_ptr<const CompiledSnapshot> reduced;
   /// Original handle -> block handle (the block id, as a State).
   std::unordered_map<State, State> block_of;
-  std::size_t original_states = 0;
   std::size_t blocks = 0;
   /// Rows of frontier (incompletely warmed) states dropped because a
   /// target was never interned into the snapshot; a covering warm-up

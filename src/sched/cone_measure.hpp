@@ -35,7 +35,7 @@ struct ConeStats {
   std::size_t frames_pushed = 0;  ///< edges traversed (stack pushes)
   std::size_t leaves = 0;         ///< depth-capped maximal executions
   std::size_t halts = 0;          ///< proper halt events (residual mass)
-  std::size_t splits = 0;         ///< parallel frontier subtrees fanned out
+  std::size_t splits = 0;         ///< word-search subtrees fanned out
   std::size_t prefix_hits = 0;    ///< frontier queries answered from cache
   std::size_t prefix_misses = 0;  ///< frontier levels built by extension
   /// Snapshot states fed into bisimulation reduction, summed over the

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <stdexcept>
 #include <utility>
 
@@ -40,7 +39,7 @@ class TraceTrie {
   static constexpr std::uint32_t kNone = ~std::uint32_t{0};
 
   TraceTrie() {
-    nodes_.push_back({kInvalidAction, kNone, kNone, kNone, kNone});
+    nodes_.push_back({kInvalidAction, kNone, kNone, kNone});
   }
 
   /// The node of trace(n) . a, created on first use.
@@ -51,24 +50,9 @@ class TraceTrie {
     }
     const Node c = static_cast<Node>(nodes_.size());
     const Node sibling = nodes_[n].first_child;
-    nodes_.push_back({a, n, kNone, sibling, kNone});
+    nodes_.push_back({a, kNone, sibling, kNone});
     nodes_[n].first_child = c;
     return c;
-  }
-
-  /// The node of `trace`, created on first use.
-  Node insert(const std::vector<ActionId>& trace) {
-    Node n = kRoot;
-    for (ActionId a : trace) n = child(n, a);
-    return n;
-  }
-
-  /// The trace node n stands for, read back up the parent links.
-  std::vector<ActionId> trace(Node n) const {
-    std::vector<ActionId> out;
-    for (; n != kRoot; n = nodes_[n].parent) out.push_back(nodes_[n].action);
-    std::reverse(out.begin(), out.end());
-    return out;
   }
 
   std::uint32_t& slot(Node n) { return nodes_[n].slot; }
@@ -76,7 +60,6 @@ class TraceTrie {
  private:
   struct Entry {
     ActionId action;
-    Node parent;
     Node first_child;
     Node next_sibling;
     std::uint32_t slot;
@@ -97,13 +80,13 @@ TraceTrie::Node child_trace(TraceTrie* trie, TraceTrie::Node node,
 /// visiting halt/leaf events in the recursive enumerator's pre-order as
 /// visit(path, prob, trace_node). With a trie, every edge also carries
 /// the trie node of its child's external trace, derived from the
-/// signature expand() already holds; `root` is the node of `path`'s own
-/// trace. Without one, trace nodes are not tracked and read kRoot.
+/// signature expand() already holds; `path` itself sits at the root, so
+/// a trie needs `path` to be a start fragment. Without one, trace nodes
+/// are not tracked and read kRoot.
 template <typename Visit>
 void walk_cone(Psioa& automaton, Scheduler& sched, std::size_t max_depth,
                ExecFragment& path, const Rational& prefix_prob,
-               TraceTrie* trie, TraceTrie::Node root, const Visit& visit,
-               ConeStats& cs) {
+               TraceTrie* trie, const Visit& visit, ConeStats& cs) {
   if (prefix_prob.is_zero()) return;
   MemoPsioa* memo = memo_engine_of(automaton);
   const std::size_t base_len = path.length();
@@ -167,7 +150,7 @@ void walk_cone(Psioa& automaton, Scheduler& sched, std::size_t max_depth,
     cs.frames_peak = std::max(cs.frames_peak, stack.size());
   };
 
-  expand(prefix_prob, root);
+  expand(prefix_prob, TraceTrie::kRoot);
   while (!stack.empty()) {
     PendingEdge e = std::move(stack.back());
     stack.pop_back();
@@ -179,14 +162,14 @@ void walk_cone(Psioa& automaton, Scheduler& sched, std::size_t max_depth,
   path.truncate(base_len);
 }
 
-/// Exact f-dist accumulator of one call (or one parallel chunk). A
-/// trace-functional insight is applied once per trace node -- at the
-/// first event that reaches it -- and the node remembers the resulting
-/// perception slot; every event then adds its mass to that slot. Each
-/// perception's mass is thus summed event by event in visit order, the
-/// same additions ExactDisc::add would make, so results (and any Rational
-/// overflow) are identical to applying the insight per event -- which
-/// is what happens, straight into an ExactDisc, for any other insight.
+/// Exact f-dist accumulator of one call. A trace-functional insight is
+/// applied once per trace node -- at the first event that reaches it --
+/// and the node remembers the resulting perception slot; every event
+/// then adds its mass to that slot. Each perception's mass is thus
+/// summed event by event in visit order, the same additions
+/// ExactDisc::add would make, so results (and any Rational overflow) are
+/// identical to applying the insight per event -- which is what happens,
+/// straight into an ExactDisc, for any other insight.
 class FdistAccumulator {
  public:
   explicit FdistAccumulator(const InsightFunction& f)
@@ -283,7 +266,6 @@ void enumerate_cone(
     ConeStats* stats) {
   ConeStats scratch;
   walk_cone(automaton, sched, max_depth, path, prefix_prob, nullptr,
-            TraceTrie::kRoot,
             [&](const ExecFragment& alpha, const Rational& p,
                 TraceTrie::Node) { visit(alpha, p); },
             stats != nullptr ? *stats : scratch);
@@ -296,7 +278,6 @@ ExactDisc<Perception> exact_fdist(Psioa& automaton, Scheduler& sched,
   FdistAccumulator acc(f);
   ExecFragment path = ExecFragment::starting_at(automaton.start_state());
   walk_cone(automaton, sched, max_depth, path, Rational(1), acc.trie(),
-            TraceTrie::kRoot,
             [&](const ExecFragment& alpha, const Rational& p,
                 TraceTrie::Node node) { acc.add(automaton, alpha, node, p); },
             stats != nullptr ? *stats : scratch);
@@ -331,17 +312,6 @@ PrefixStrata expand_prefix_strata(Psioa& automaton, Scheduler& sched,
         }
       },
       stats);
-  return out;
-}
-
-PrefixStrata strata_from_frontier(const ConeFrontier& frontier) {
-  PrefixStrata out;
-  out.settled = frontier.settled;
-  out.live.reserve(frontier.live.size());
-  for (const auto& e : frontier.live) {
-    out.live.push_back({e.frag, e.prob});
-    out.live_mass = out.live_mass + e.prob;
-  }
   return out;
 }
 
@@ -457,152 +427,6 @@ const ConeFrontier& ConeFrontierCache::frontier(
 
 void ConeFrontierCache::evict(const std::vector<ActionId>& word) {
   cache_.erase(word);
-}
-
-// -- deterministic parallel exact f-dists ----------------------------------
-
-ParallelConeEngine::ParallelConeEngine(PsioaFactory make_automaton,
-                                       SchedulerFactory make_sched,
-                                       ReductionPolicy policy)
-    : sampler_(std::move(make_automaton), make_sched),
-      make_sched_(std::move(make_sched)),
-      policy_(policy) {}
-
-void ParallelConeEngine::prepare(const WarmupPlan& plan,
-                                 std::size_t max_depth) {
-  sampler_.prepare(plan, max_depth);
-  quotient_ = QuotientSnapshot{};
-  if (!policy_.enabled()) return;
-  // Reduce only when the snapshot covers the cone: the walk must reach
-  // the enumeration depth and must not have truncated on the state cap
-  // (state_count counts every memoized state, so hitting either cap
-  // shows up as state_count >= the cap).
-  auto snap = sampler_.snapshot();
-  const std::size_t cap = std::min(plan.max_states, policy_.max_states);
-  if (plan.horizon < max_depth || snap->state_count() >= cap) return;
-  PartitionStats pstats;
-  const SnapshotPartition partition = bisimulation_partition(*snap, &pstats);
-  quotient_ = snap->quotient(partition);
-}
-
-ExactDisc<Perception> ParallelConeEngine::exact_fdist(
-    const InsightFunction& f, std::size_t max_depth, ThreadPool& pool,
-    std::size_t frontier_target) {
-  if (!prepared()) {
-    throw std::logic_error("ParallelConeEngine: prepare() before exact_fdist");
-  }
-  const std::size_t target =
-      frontier_target != 0
-          ? frontier_target
-          : 4 * std::max<std::size_t>(std::size_t{1}, pool.size());
-  ConeStats stats;
-  if (reduced()) {
-    stats.quotient_states = quotient_.original_states;
-    stats.quotient_blocks = quotient_.blocks;
-  }
-
-  // Views and schedulers: thin snapshot views with frozen choice rows on
-  // the raw path; QuotientPsioa views with *fresh* schedulers on the
-  // reduced path (frozen choice rows are keyed by original handles,
-  // which a block handle could alias -- fresh schedulers re-derive their
-  // rows from block signatures, which is exactly the preserved part).
-  auto make_view = [&]() -> std::shared_ptr<MemoPsioa> {
-    if (reduced()) return std::make_shared<QuotientPsioa>(quotient_.reduced);
-    return sampler_.worker_view();
-  };
-  auto make_worker_sched = [&]() -> SchedulerPtr {
-    if (reduced()) return make_sched_();
-    return sampler_.worker_scheduler();
-  };
-
-  // Phase 1 (calling thread): breadth-first expansion until the frontier
-  // holds enough independent subtrees to keep every worker busy. Halt
-  // and leaf mass discovered on the way accumulates into `base`, and
-  // every frontier node carries its node in base's trace trie.
-  auto main_view = make_view();
-  SchedulerPtr main_sched = make_worker_sched();
-  struct Node {
-    ExecFragment frag;
-    Rational prob;
-    TraceTrie::Node trace = TraceTrie::kRoot;
-  };
-  std::deque<Node> frontier;
-  FdistAccumulator base(f);
-  TraceTrie* base_trie = base.trie();
-  frontier.push_back(
-      {ExecFragment::starting_at(main_view->start_state()), Rational(1)});
-  while (!frontier.empty() && frontier.size() < target) {
-    Node n = std::move(frontier.front());
-    frontier.pop_front();
-    if (n.frag.length() >= max_depth) {
-      base.add(*main_view, n.frag, n.trace, n.prob);
-      ++stats.leaves;
-      continue;
-    }
-    const ActionChoice choice = main_sched->choose(*main_view, n.frag);
-    const Rational halt = scheduled_halt_mass(choice, *main_sched);
-    if (!halt.is_zero()) {
-      base.add(*main_view, n.frag, n.trace, n.prob * halt);
-      ++stats.halts;
-    }
-    const State q = n.frag.lstate();
-    const Signature& sig = main_view->signature_ref(q);
-    for (const auto& [a, w] : choice.entries()) {
-      if (!sig.contains(a)) throw_outside_sig(*main_sched, a);
-      const TraceTrie::Node next = child_trace(base_trie, n.trace, sig, a);
-      const StateDist& eta = main_view->transition_dist(q, a);
-      for (const auto& [q2, tw] : eta.entries()) {
-        ExecFragment child = n.frag;
-        child.append(a, q2);
-        frontier.push_back({std::move(child), n.prob * w * tw, next});
-      }
-    }
-  }
-  std::vector<Node> tasks;
-  tasks.reserve(frontier.size());
-  for (auto& n : frontier) tasks.push_back(std::move(n));
-  stats.splits = tasks.size();
-
-  // Phase 2: fan the subtrees over the pool. Each chunk drives its own
-  // thin snapshot view, scheduler instance and accumulator (whose trie
-  // re-roots each subtree at its prefix trace, read from base's trie,
-  // which no one writes any more), so the one-thread-per-instance rule
-  // holds; frozen rows are read lock-free, cold misses serialize
-  // through the shared residue. The fixed (chunk-order) merge of exact
-  // partials is order-insensitive, hence bit-identical for any worker
-  // count.
-  const std::size_t lanes = std::max<std::size_t>(std::size_t{1}, pool.size());
-  std::vector<ExactDisc<Perception>> partial(lanes);
-  std::vector<ConeStats> cstats(lanes);
-  parallel_for_chunks(
-      pool, tasks.size(),
-      [&](std::size_t chunk, std::size_t begin, std::size_t end) {
-        auto view = make_view();
-        SchedulerPtr sched = make_worker_sched();
-        FdistAccumulator acc(f);
-        TraceTrie* trie = acc.trie();
-        for (std::size_t i = begin; i < end; ++i) {
-          ExecFragment path = tasks[i].frag;
-          const TraceTrie::Node root =
-              trie != nullptr ? trie->insert(base_trie->trace(tasks[i].trace))
-                              : TraceTrie::kRoot;
-          walk_cone(*view, *sched, max_depth, path, tasks[i].prob, trie, root,
-                    [&](const ExecFragment& alpha, const Rational& p,
-                        TraceTrie::Node node) {
-                      acc.add(*view, alpha, node, p);
-                    },
-                    cstats[chunk]);
-        }
-        partial[chunk] = acc.finish();
-      });
-
-  ExactDisc<Perception> result = base.finish();
-  for (const auto& p : partial) {
-    for (const auto& [perc, w] : p.entries()) result.add(perc, w);
-  }
-  for (const auto& s : cstats) stats += s;
-  stats_ = stats;
-  return result;
 }
 
 }  // namespace cdse

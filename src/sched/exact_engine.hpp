@@ -1,5 +1,5 @@
 #pragma once
-// Iterative, parallel, prefix-sharing exact cone-measure engine.
+// Iterative, prefix-sharing exact cone-measure engine.
 //
 // The recursive enumerator of sched/cone_measure.hpp deep-copied the
 // ExecFragment on every edge (an O(depth) copy per edge, O(depth * edges)
@@ -19,15 +19,6 @@
 //       mass to its trace's perception slot -- in visit order, so sums
 //       (and Rational overflows) are those of per-leaf accumulation.
 //       Other insights are applied per leaf.
-//   ParallelConeEngine -- deterministic parallel exact f-dists: the cone
-//       is expanded breadth-first to a frontier of independent subtrees,
-//       subtrees fan out over the existing ThreadPool on thin
-//       SnapshotPsioa views (WarmupPlan + freeze(), lock-free compiled
-//       rows), and per-worker ExactDisc partials (trace-keyed like
-//       exact_fdist) merge in fixed frontier order. Rational addition
-//       is associative and commutative and ExactDisc keeps a canonical
-//       sorted form, so the merged measure is bit-identical for ANY
-//       worker count.
 //   ConeFrontierCache  -- prefix sharing for off-line (word) schedulers:
 //       the halted frontier of word w is extended by one letter to give
 //       the frontier of w^a, so search_best_word explores the word tree
@@ -40,9 +31,11 @@
 //       enumerated, so every engine above runs over blocks instead of
 //       raw states -- transparently, with epsilon preserved exactly.
 //
-// Every path is exact (Rational end to end); determinism is an algebraic
-// property of the merge, not a scheduling property of the pool.
-// ConeStats counters make the claimed work reduction observable.
+// Every path is exact (Rational end to end). One query runs on one
+// thread: a fan-out of one cone over a pool never beat a single worker,
+// so parallelism lives at the coarse grain (implementation grid cells,
+// family-sweep cells, word-search subtrees). ConeStats counters make the
+// claimed work reduction observable.
 
 #include <cstddef>
 #include <map>
@@ -219,57 +212,5 @@ PrefixStrata expand_prefix_strata(Psioa& automaton, Scheduler& sched,
                                   const InsightFunction& f,
                                   std::size_t split_depth,
                                   ConeStats* stats = nullptr);
-
-/// The same decomposition read off a cached word frontier (offline word
-/// schedulers): settled contributions carry over verbatim and every
-/// live frontier fragment becomes a stratum. Lets the splitting
-/// estimator reuse ConeFrontierCache partial cone masses instead of
-/// re-enumerating the prefix cone per word.
-PrefixStrata strata_from_frontier(const ConeFrontier& frontier);
-
-/// Deterministic parallel exact f-dists over one frozen snapshot.
-/// prepare() warms one instance (WarmupPlan, as ParallelSampler does) and
-/// freezes its compiled tables; exact_fdist() expands the cone
-/// breadth-first on the calling thread until at least `frontier_target`
-/// independent subtrees exist (default 4x pool size), fans the subtrees
-/// across the pool on thin SnapshotPsioa views, and merges the exact
-/// partials in fixed frontier order. Exactness makes the merge
-/// order-insensitive, so the result is bit-identical to the serial
-/// enumerator at every worker count.
-class ParallelConeEngine {
- public:
-  /// With an enabled `policy`, prepare() additionally minimizes the
-  /// frozen snapshot (bisimulation quotient) and exact_fdist() runs the
-  /// identical expansion/fan-out over QuotientPsioa views -- same exact
-  /// result, fewer frames. Reduction silently falls back to the raw
-  /// snapshot when the warm-up did not cover the enumeration depth
-  /// (plan.horizon < max_depth) or truncated on plan.max_states.
-  ParallelConeEngine(PsioaFactory make_automaton, SchedulerFactory make_sched,
-                     ReductionPolicy policy = {});
-
-  /// Warms and freezes one instance. Use the depth you will enumerate at.
-  void prepare(const WarmupPlan& plan, std::size_t max_depth);
-  bool prepared() const { return sampler_.prepared(); }
-
-  /// True when prepare() produced (and exact_fdist() will use) a
-  /// minimized snapshot rather than the raw one.
-  bool reduced() const { return quotient_.reduced != nullptr; }
-
-  ExactDisc<Perception> exact_fdist(const InsightFunction& f,
-                                    std::size_t max_depth, ThreadPool& pool,
-                                    std::size_t frontier_target = 0);
-
-  /// Counters of the most recent exact_fdist (splits = subtrees fanned
-  /// out; frames/leaves/halts summed over the workers + the expansion;
-  /// quotient_states/quotient_blocks filled when reduced()).
-  const ConeStats& last_stats() const { return stats_; }
-
- private:
-  ParallelSampler sampler_;
-  SchedulerFactory make_sched_;
-  ReductionPolicy policy_;
-  ConeStats stats_;
-  QuotientSnapshot quotient_;
-};
 
 }  // namespace cdse

@@ -20,9 +20,9 @@
 //
 // All three are also *trace-functional*: their value depends on the
 // external trace (Def 2.2) alone. They say so through
-// trace_functional(), and the exact engines (exact_fdist,
-// ParallelConeEngine) then push the execution measure forward to
-// traces first and apply them once per distinct external trace. Any
+// trace_functional(), and the exact engine (exact_fdist) then pushes
+// the execution measure forward to traces first and applies them once
+// per distinct external trace. Any
 // other insight -- one that reads states, internal actions or the
 // execution's length, or a wrapper that does not forward the property
 // -- keeps the default `false` and is applied once per execution.

@@ -1,4 +1,4 @@
-// Iterative / parallel / prefix-sharing exact cone-measure engine
+// Iterative / prefix-sharing exact cone-measure engine
 // (sched/exact_engine.hpp): differential + unit + determinism suite.
 //
 // Layers:
@@ -6,12 +6,11 @@
 //                   recursive reference visit-for-visit (same fragments,
 //                   same probabilities, same pre-order), not just sum to
 //                   the same measure.
-//   differential -- exact f-dists from the iterative enumerator and from
-//                   ParallelConeEngine at 1/2/4/8 workers must equal the
-//                   recursive reference bit-for-bit across the same stack
-//                   zoo the interning suite pins: random composed,
-//                   hidden+renamed, structured MAC, PCA ledger, faulty
-//                   channel, crashable, byzantine.
+//   differential -- exact f-dists from the iterative enumerator must
+//                   equal the recursive reference bit-for-bit across the
+//                   same stack zoo the interning suite pins: random
+//                   composed, hidden+renamed, structured MAC, PCA ledger,
+//                   faulty channel, crashable, byzantine.
 //   frontier     -- ConeFrontierCache: frontier(w).fdist equals a direct
 //                   per-word enumeration under SequenceScheduler(w),
 //                   max_reached matches the per-word evaluator, prefix
@@ -24,15 +23,15 @@
 //                   with depth x branching, not with cone size, and a
 //                   trace-functional insight is applied once per distinct
 //                   external trace, not once per leaf.
-//   trace-keyed  -- exact_fdist and ParallelConeEngine at 1/2/4 workers
-//                   must match the recursive per-execution reference for
-//                   the trace, accept and print insights on random
-//                   non-dyadic stacks, the paper stacks and a fork product
-//                   through the bisimulation quotient; insights that do not
-//                   declare trace_functional() keep the per-execution path;
-//                   a Rational overflow still throws where it did.
+//   trace-keyed  -- exact_fdist must match the recursive per-execution
+//                   reference for the trace, accept and print insights on
+//                   random non-dyadic stacks, the paper stacks and a fork
+//                   product through the bisimulation quotient; insights
+//                   that do not declare trace_functional() keep the
+//                   per-execution path; a Rational overflow still throws
+//                   where it did.
 //   validation   -- Def 3.1 side-condition throws propagate through the
-//                   new engines exactly as through the recursive one.
+//                   iterative engine exactly as through the recursive one.
 //   grid/sweep   -- check_implementation_parallel and the parallel
 //                   family sweep are worker-count independent and match
 //                   their serial counterparts row for row.
@@ -162,31 +161,16 @@ ExactDisc<Perception> reference_fdist(const PsioaFactory& fa) {
   return exact_fdist_recursive(*sys, sched, f, kDepth + 1);
 }
 
-/// Iterative engine (fresh instance) and ParallelConeEngine at every
-/// worker count must reproduce the recursive reference bit-for-bit.
+/// The iterative engine (fresh instance) must reproduce the recursive
+/// reference bit-for-bit.
 void expect_engines_agree(const PsioaFactory& fa) {
   const ExactDisc<Perception> want = reference_fdist(fa);
   TraceInsight f;
-
-  {
-    PsioaPtr sys = fa();
-    UniformScheduler sched(kDepth);
-    ConeStats stats;
-    EXPECT_EQ(exact_fdist(*sys, sched, f, kDepth + 1, &stats), want);
-    EXPECT_GT(stats.leaves + stats.halts, 0u);
-  }
-
-  ParallelConeEngine engine(fa, uniform_factory(kDepth));
-  WarmupPlan plan;
-  plan.episodes = 0;
-  plan.horizon = kDepth + 1;
-  engine.prepare(plan, kDepth + 1);
-  for (std::size_t workers : kWorkerCounts) {
-    ThreadPool pool(workers);
-    EXPECT_EQ(engine.exact_fdist(f, kDepth + 1, pool), want)
-        << "workers=" << workers;
-    EXPECT_GT(engine.last_stats().leaves + engine.last_stats().halts, 0u);
-  }
+  PsioaPtr sys = fa();
+  UniformScheduler sched(kDepth);
+  ConeStats stats;
+  EXPECT_EQ(exact_fdist(*sys, sched, f, kDepth + 1, &stats), want);
+  EXPECT_GT(stats.leaves + stats.halts, 0u);
 }
 
 // ------------------------------------------------------------ visit order
@@ -276,25 +260,6 @@ TEST(ExactEngineStacks, CrashableStack) {
 
 TEST(ExactEngineStacks, ByzantineStack) {
   expect_engines_agree(byzantine_factory("xe_bz"));
-}
-
-TEST(ExactEngineParallel, SmallFrontierTargetStillExact) {
-  // Force the breadth-first expansion to hand out single-node subtrees
-  // (frontier_target = 1 stops expanding immediately) and a huge target
-  // (everything enumerated in phase 1, nothing fanned out): both
-  // degenerate shapes must still match the reference.
-  const PsioaFactory fa = faulty_channel_factory("xe_ft");
-  const ExactDisc<Perception> want = reference_fdist(fa);
-  TraceInsight f;
-  ParallelConeEngine engine(fa, uniform_factory(kDepth));
-  WarmupPlan plan;
-  plan.episodes = 0;
-  plan.horizon = kDepth + 1;
-  engine.prepare(plan, kDepth + 1);
-  ThreadPool pool(4);
-  EXPECT_EQ(engine.exact_fdist(f, kDepth + 1, pool, 1), want);
-  EXPECT_EQ(engine.exact_fdist(f, kDepth + 1, pool, 100000), want);
-  EXPECT_EQ(engine.last_stats().splits, 0u);
 }
 
 // --------------------------------------------------------------- frontier
@@ -541,11 +506,9 @@ std::shared_ptr<const InsightFunction> borrowed(const InsightFunction& f) {
   return {std::shared_ptr<const InsightFunction>{}, &f};
 }
 
-/// exact_fdist, and ParallelConeEngine at 1/2/4 workers, must equal the
-/// recursive per-execution reference entry for entry, for every insight
-/// in `fs`. With an enabled `policy` the serial engine runs over
-/// reduce_for_enumeration's view and the parallel engine over its
-/// quotient; the reference stays raw.
+/// exact_fdist must equal the recursive per-execution reference entry
+/// for entry, for every insight in `fs`. With an enabled `policy` it
+/// runs over reduce_for_enumeration's view; the reference stays raw.
 void expect_matches_oracle(const PsioaFactory& fa, const SchedulerFactory& sf,
                            std::size_t depth, const InsightList& fs,
                            ReductionPolicy policy = {}) {
@@ -556,17 +519,6 @@ void expect_matches_oracle(const PsioaFactory& fa, const SchedulerFactory& sf,
   ASSERT_EQ(red.has_value(), policy.enabled());
   Psioa& walked = red.has_value() ? *red->view : *sys;
 
-  ParallelConeEngine engine(fa, sf, policy);
-  WarmupPlan plan;
-  plan.episodes = 0;
-  plan.horizon = depth;
-  engine.prepare(plan, depth);
-  ASSERT_EQ(engine.reduced(), policy.enabled());
-  std::vector<std::unique_ptr<ThreadPool>> pools;
-  for (std::size_t workers : {1, 2, 4}) {
-    pools.push_back(std::make_unique<ThreadPool>(workers));
-  }
-
   for (const auto& f : fs) {
     SCOPED_TRACE(f->name() + " depth=" + std::to_string(depth));
     SchedulerPtr ref_sched = sf();
@@ -575,10 +527,6 @@ void expect_matches_oracle(const PsioaFactory& fa, const SchedulerFactory& sf,
     ASSERT_FALSE(want.empty());
     SchedulerPtr sched = sf();
     EXPECT_EQ(exact_fdist(walked, *sched, *f, depth), want);
-    for (const auto& pool : pools) {
-      EXPECT_EQ(engine.exact_fdist(*f, depth, *pool), want)
-          << "workers=" << pool->size();
-    }
   }
 }
 
@@ -762,24 +710,6 @@ TEST(ExactEngineValidation, IterativeRejectsRogueSchedulers) {
     PsioaPtr sys = faulty_channel_factory("xe_v1")();
     RogueScheduler rogue(mode);
     EXPECT_THROW(exact_fdist(*sys, rogue, f, 4), std::logic_error);
-  }
-}
-
-TEST(ExactEngineValidation, ParallelEngineRejectsRogueSchedulers) {
-  TraceInsight f;
-  for (const auto mode : {RogueScheduler::Mode::kOverweight,
-                          RogueScheduler::Mode::kDisabledAction}) {
-    ParallelConeEngine engine(
-        faulty_channel_factory("xe_v2"),
-        [mode]() -> SchedulerPtr {
-          return std::make_shared<RogueScheduler>(mode);
-        });
-    WarmupPlan plan;
-    plan.episodes = 0;
-    plan.horizon = 4;
-    engine.prepare(plan, 4);
-    ThreadPool pool(2);
-    EXPECT_THROW(engine.exact_fdist(f, 4, pool), std::logic_error);
   }
 }
 

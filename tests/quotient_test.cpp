@@ -12,8 +12,8 @@
 //                   EXACTLY (Rational-equal), across the same stack zoo
 //                   the exact-engine suite pins (random composed,
 //                   hidden+renamed, structured MAC, PCA ledger, faulty
-//                   channel, crashable, byzantine), serial and through
-//                   ParallelConeEngine at 1/2/4/8 workers.
+//                   channel, crashable, byzantine), through serial
+//                   exact_fdist over reduce_for_enumeration's view.
 //   search/grid  -- search_best_word[_parallel],
 //                   check_implementation_parallel and the family sweep
 //                   under ReductionPolicy::bisimulation() reproduce
@@ -124,12 +124,6 @@ PsioaFactory byzantine_factory(const std::string& tag) {
         make_channel(tag),
         make_flip_involution({{act("recv0_" + tag), act("recv1_" + tag)}}),
         Rational(1, 3));
-  };
-}
-
-SchedulerFactory uniform_factory(std::size_t depth) {
-  return [depth]() -> SchedulerPtr {
-    return std::make_shared<UniformScheduler>(depth);
   };
 }
 
@@ -309,40 +303,19 @@ TEST(QuotientUnit, ReduceForEnumerationFallsBackOnTruncation) {
 
 // ---------------------------------------------------------- differential
 
-/// Serial reduced enumeration and ParallelConeEngine under the policy at
-/// every worker count must reproduce the recursive reference exactly.
+/// Serial enumeration over the reduced view must reproduce the recursive
+/// reference exactly.
 void expect_quotient_agrees(const PsioaFactory& fa) {
   const ExactDisc<Perception> want = reference_fdist(fa);
   TraceInsight f;
-
-  {
-    PsioaPtr sys = fa();
-    const auto red = reduce_for_enumeration(*sys, kDepth + 1,
-                                            ReductionPolicy::bisimulation());
-    ASSERT_TRUE(red.has_value());
-    EXPECT_GT(red->blocks, 0u);
-    EXPECT_LE(red->blocks, red->states);
-    UniformScheduler sched(kDepth);
-    ConeStats stats;
-    EXPECT_EQ(exact_fdist(*red->view, sched, f, kDepth + 1, &stats), want);
-  }
-
-  ParallelConeEngine engine(fa, uniform_factory(kDepth),
-                            ReductionPolicy::bisimulation());
-  WarmupPlan plan;
-  plan.episodes = 0;
-  plan.horizon = kDepth + 1;
-  engine.prepare(plan, kDepth + 1);
-  EXPECT_TRUE(engine.reduced());
-  for (std::size_t workers : kWorkerCounts) {
-    ThreadPool pool(workers);
-    EXPECT_EQ(engine.exact_fdist(f, kDepth + 1, pool), want)
-        << "workers=" << workers;
-    EXPECT_GT(engine.last_stats().quotient_states, 0u);
-    EXPECT_GT(engine.last_stats().quotient_blocks, 0u);
-    EXPECT_LE(engine.last_stats().quotient_blocks,
-              engine.last_stats().quotient_states);
-  }
+  PsioaPtr sys = fa();
+  const auto red = reduce_for_enumeration(*sys, kDepth + 1,
+                                          ReductionPolicy::bisimulation());
+  ASSERT_TRUE(red.has_value());
+  EXPECT_GT(red->blocks, 0u);
+  EXPECT_LE(red->blocks, red->states);
+  UniformScheduler sched(kDepth);
+  EXPECT_EQ(exact_fdist(*red->view, sched, f, kDepth + 1), want);
 }
 
 class QuotientDifferential : public ::testing::TestWithParam<int> {};
@@ -460,7 +433,7 @@ TEST(QuotientSearch, PolicyPreservesWordEpsilonAndCount) {
   for (std::size_t workers : kWorkerCounts) {
     ThreadPool pool(workers);
     const BestDistinguisher par = search_best_word_parallel(
-        make_lhs, make_rhs, alphabet, 4, f, 10, pool, /*frontier_target=*/0,
+        make_lhs, make_rhs, alphabet, 4, f, 10, pool,
         ReductionPolicy::bisimulation());
     EXPECT_EQ(par.word, plain.word) << "workers=" << workers;
     EXPECT_EQ(par.eps, plain.eps) << "workers=" << workers;
