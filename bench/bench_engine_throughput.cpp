@@ -4,6 +4,7 @@
 //     with the memoized compiled fast-path cached vs uncached),
 //   - parallel Monte-Carlo f-dist estimation across thread counts,
 //   - exact cone enumeration,
+//   - Rational *= / += chains over dyadic and non-dyadic weights,
 //   - composite transition evaluation.
 //
 // Unless the caller passes its own --benchmark_out, results are also
@@ -35,6 +36,8 @@
 #include "sched/sampler.hpp"
 #include "sched/schedulers.hpp"
 #include "secure/adversary.hpp"
+#include "util/rational.hpp"
+#include "util/rng.hpp"
 #include "util/state_interner.hpp"
 
 // -- allocator traffic meter -------------------------------------------------
@@ -470,6 +473,47 @@ void BM_ExactConeEnumerationLegacy(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ExactConeEnumerationLegacy)->Arg(6)->Arg(9)->Arg(12);
+
+// -- Rational layer: the cone's prob * w chains and leaf sums ---------------
+// Fixed-seed chains of *= and += as walk_cone and the f-dist accumulator
+// issue them: each chain multiplies kChainDepth weights into a path
+// probability and adds every prefix into a running sum. Arg 0 draws
+// dyadic weights (the random stacks' transition weights), arg 1
+// non-dyadic ones (the banded stacks' uniform choice weights). Depth 16
+// keeps every denominator below 8^16, far from the int64 edge.
+void BM_RationalChain(benchmark::State& state) {
+  constexpr std::size_t kChains = 256;
+  constexpr std::size_t kChainDepth = 16;
+  const bool dyadic = state.range(0) == 0;
+  const std::vector<Rational> weights =
+      dyadic ? std::vector<Rational>{Rational(1, 2), Rational(1, 4),
+                                     Rational(3, 4), Rational(1, 8),
+                                     Rational(5, 8), Rational(7, 8)}
+             : std::vector<Rational>{Rational(1, 3), Rational(2, 3),
+                                     Rational(1, 5), Rational(2, 5),
+                                     Rational(4, 5), Rational(1, 7),
+                                     Rational(3, 7), Rational(6, 7)};
+  Xoshiro256 rng(7);
+  std::vector<std::uint8_t> picks(kChains * kChainDepth);
+  for (std::uint8_t& pick : picks) {
+    pick = static_cast<std::uint8_t>(rng.below(weights.size()));
+  }
+  for (auto _ : state) {
+    for (std::size_t c = 0; c < kChains; ++c) {
+      Rational prob(1);
+      Rational sum;
+      for (std::size_t d = 0; d < kChainDepth; ++d) {
+        prob *= weights[picks[c * kChainDepth + d]];
+        sum += prob;
+      }
+      benchmark::DoNotOptimize(sum);
+    }
+  }
+  // One *= and one += per step.
+  state.SetItemsProcessed(static_cast<std::int64_t>(
+      state.iterations() * kChains * kChainDepth * 2));
+}
+BENCHMARK(BM_RationalChain)->Arg(0)->Arg(1);
 
 void BM_CompositeTransition(benchmark::State& state) {
   const LedgerSystem sys = make_ledger_system(3, "e10_e");

@@ -13,7 +13,8 @@
 #   scripts/check.sh --bench-smoke  # Release build of the E10 engine
 #                               # bench, tiny-parameter run, checks that
 #                               # BENCH_engine.json is produced (incl.
-#                               # the E21 block-kernel rows, their
+#                               # the Rational-chain layer row, the
+#                               # E21 block-kernel rows, their
 #                               # binomial class-splitting counter and
 #                               # the block-vs-serial speedup floor, plus
 #                               # the E22 sequential-estimator rows and
@@ -21,10 +22,10 @@
 #                               # runs the E18 service soak at <=1k
 #                               # sessions and checks BENCH_service.json;
 #                               # and runs the cdse benchmark's exact_eps
-#                               # workload for one second, which exits
-#                               # non-zero on a build failure or a wrong
-#                               # epsilon (the CI bench-smoke job runs
-#                               # exactly this)
+#                               # and sampled_eps workloads for one
+#                               # second each, which exit non-zero on a
+#                               # build failure or a wrong answer (the CI
+#                               # bench-smoke job runs exactly this)
 #
 # The sanitized passes skip the experiment-labelled ctest entries: the
 # harnesses re-run under the plain pass already, and sanitizer slowdown
@@ -95,6 +96,9 @@ if [[ "${1:-}" == "--bench-smoke" ]]; then
   grep -q BM_SerialMacFdist build-bench/BENCH_engine.json
   grep -q BM_SerialLedgerFdist build-bench/BENCH_engine.json
   grep -q BM_BlockBatchedLedgerFdist build-bench/BENCH_engine.json
+  # The Rational layer row: *=/+= chains over dyadic and non-dyadic
+  # weights.
+  grep -q BM_RationalChain build-bench/BENCH_engine.json
   # The MAC block row's 20000-trial start class is far above the class
   # splitting threshold, so the binomial path must have run there.
   python3 - <<'PY'
@@ -165,13 +169,18 @@ PY
   test -s build-bench/BENCH_service.json
   # The cdse benchmark builds src/ as-is with its own driver and checks
   # every exact_eps answer against closed forms and the recursive
-  # reference: exit status is the gate (a library API change that breaks
-  # the driver, or a wrong epsilon, fails it); no timing is checked.
+  # reference, and every sampled_eps verdict and estimate (whose
+  # conditional splits and reweighting run on exact Rationals) against
+  # its exact epsilon: exit status is the gate (a library API change
+  # that breaks the driver, or a wrong answer, fails it); no timing is
+  # checked.
   python3 cdsebench/run.py --workload exact_eps --seed 1 --seconds 1 \
+    --trace 0 >/dev/null
+  python3 cdsebench/run.py --workload sampled_eps --seed 1 --seconds 1 \
     --trace 0 >/dev/null
   echo "== bench-smoke clean: build-bench/BENCH_engine.json," \
        "BENCH_exact.json and BENCH_service.json written," \
-       "cdse exact_eps answers checked =="
+       "cdse exact_eps and sampled_eps answers checked =="
   exit 0
 fi
 

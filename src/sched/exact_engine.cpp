@@ -127,8 +127,9 @@ void walk_cone(Psioa& automaton, Scheduler& sched, std::size_t max_depth,
         if (!sig.contains(a)) throw_outside_sig(sched, a);
         const TraceTrie::Node next = child_trace(trie, node, sig, a);
         const StateDist& eta = memo->transition_dist(q, a);
+        const Rational action_prob = prob * w;
         for (const auto& [q2, tw] : eta.entries()) {
-          stack.push_back({prob * w * tw, a, q2, next, depth});
+          stack.push_back({action_prob * tw, a, q2, next, depth});
         }
       }
     } else {
@@ -137,8 +138,9 @@ void walk_cone(Psioa& automaton, Scheduler& sched, std::size_t max_depth,
         if (!sig.contains(a)) throw_outside_sig(sched, a);
         const TraceTrie::Node next = child_trace(trie, node, sig, a);
         const StateDist eta = automaton.transition(q, a);
+        const Rational action_prob = prob * w;
         for (const auto& [q2, tw] : eta.entries()) {
-          stack.push_back({prob * w * tw, a, q2, next, depth});
+          stack.push_back({action_prob * tw, a, q2, next, depth});
         }
       }
     }
